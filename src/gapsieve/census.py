@@ -3,7 +3,9 @@
 All window counts here are cyclic: windows may wrap past the end of the
 cycle (and around it more than once when the target sum exceeds the modulus).
 Because every gap is positive, at most one window of a given start index can
-sum to the target, which makes a single two-pointer sweep exact.
+sum to the target, so one chunked kernel (prefix sums and exact searchsorted
+hits) counts gaps and constellations alike: a gap is a length-1
+constellation.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
@@ -94,110 +97,82 @@ class Census:
         return [self.counts.get(j, 0) for j in range(self.j1, top + 1)]
 
 
-def _extended(gaps: np.ndarray, span: int) -> list[int]:
-    """Cycle linearized with enough wraparound copies for any window of sum span."""
-    arr = gaps.astype(np.int64)
-    m = len(arr)
-    min_gap = int(arr.min())
-    need = span // max(min_gap, 1) + 2
-    if need <= m:
-        ext = np.concatenate([arr, arr[:need]])
-    else:
-        reps = (m + need) // m + 1
-        ext = np.tile(arr, reps)[: m + need]
-    return ext.tolist()
+CHUNK_STARTS = 1 << 20  # start positions per kernel pass
+
+
+def _window_counts(gaps: np.ndarray, boundaries: list[int]) -> dict[int, int]:
+    """Counts by length of the cyclic windows whose prefix sums hit every boundary.
+
+    A chunk of start positions is read together with enough wrapped gaps to
+    close any window of sum boundaries[-1].  Gaps are positive, so the
+    candidate values (prefix sums) are strictly increasing and each start
+    value plus a boundary is found by one exact searchsorted hit; starts that
+    miss a boundary drop out before the next one.
+    """
+    m = len(gaps)
+    # a window of span s holds at most s // min_gap gaps
+    extra = boundaries[-1] // int(gaps.min())
+    counts = np.zeros(extra + 1, dtype=np.int64)
+    for lo in range(0, m, CHUNK_STARTS):
+        n = min(CHUNK_STARTS, m - lo)
+        part = np.take(gaps, np.arange(lo, lo + n + extra), mode="wrap")
+        values = np.concatenate(([0], np.cumsum(part, dtype=np.int64)))
+        first = np.arange(n)
+        for b in boundaries:
+            want = values[first] + b
+            last = np.searchsorted(values, want)
+            hit = values[last] == want
+            first, last = first[hit], last[hit]
+        counts += np.bincount(last - first, minlength=extra + 1)
+    return {j: int(c) for j, c in enumerate(counts) if c}
+
+
+def census_for(cycle: GapCycle, target: Constellation | int) -> Census:
+    """Driving-term census for a gap or a constellation.
+
+    A window of j gaps is a driving term when its prefix sums pass through
+    g1, g1+g2, ..., |s| without overshooting any boundary; interior closures
+    then collapse it to s.  A gap g is the constellation (g,).
+    """
+    t = as_constellation(target)
+    boundaries = list(accumulate(t.gaps))
+    return Census(t, cycle.modulus, _window_counts(cycle.gaps, boundaries))
+
+
+def driving_terms_for_gap(cycle: GapCycle, g: int) -> Census:
+    """Census of cyclic windows of consecutive gaps summing to g."""
+    return census_for(cycle, g)
+
+
+def driving_terms_for_constellation(cycle: GapCycle, s: Constellation) -> Census:
+    """Census of cyclic windows whose partial sums hit s's boundaries exactly."""
+    return census_for(cycle, s)
+
+
+def population_count(cycle: GapCycle, target: Constellation | int) -> int:
+    """The target's own population: cyclic starts whose next gaps equal it.
+
+    Compares u16 views of the cycle shifted by 0..j1-1 positions (with
+    wrap), so a memory-mapped cycle is never copied.
+    """
+    gaps = cycle.gaps
+    m = len(gaps)
+    mask = np.ones(m, dtype=bool)
+    for t, g in enumerate(as_constellation(target).gaps):
+        k = t % m
+        mask[: m - k] &= gaps[k:] == g
+        mask[m - k :] &= gaps[:k] == g
+    return int(np.count_nonzero(mask))
 
 
 def count_gap(cycle: GapCycle, g: int) -> int:
     """Number of indices whose gap equals g, over the whole cycle."""
-    if g < 2 or g % 2 != 0:
-        raise ValueError(f"gap must be a positive even integer: {g}")
-    # direct u16 comparison keeps memory-mapped cycles streamable
-    return int(np.count_nonzero(cycle.gaps == g))
-
-
-def driving_terms_for_gap(cycle: GapCycle, g: int) -> Census:
-    """Census of cyclic windows of consecutive gaps summing to g.
-
-    Two-pointer sweep: gaps are positive, so per start index the window sum
-    is strictly increasing and at most one window length can match.
-    """
-    if g < 2 or g % 2 != 0:
-        raise ValueError(f"gap must be a positive even integer: {g}")
-    m = cycle.gap_count
-    ext = _extended(cycle.gaps, g)
-    counts: dict[int, int] = {}
-    s = 0
-    r = 0
-    for i in range(m):
-        while s < g and r < len(ext):
-            s += ext[r]
-            r += 1
-        if s == g:
-            counts[r - i] = counts.get(r - i, 0) + 1
-        s -= ext[i]
-    return Census(Constellation((g,)), cycle.modulus, counts)
+    return population_count(cycle, g)
 
 
 def count_constellation(cycle: GapCycle, s: Constellation) -> int:
     """Number of cyclic start positions where the next gaps equal s exactly."""
-    arr = cycle.gaps.astype(np.int64)
-    m = len(arr)
-    j1 = s.length
-    need = m + j1 - 1
-    ext = arr if need <= m else np.tile(arr, need // m + 1)[:need]
-    mask = np.ones(m, dtype=bool)
-    for t, g in enumerate(s.gaps):
-        mask &= ext[t : t + m] == g
-    return int(mask.sum())
-
-
-def population_count(cycle: GapCycle, target: Constellation | int) -> int:
-    """The target's own population (no driving terms), vectorized."""
-    t = as_constellation(target)
-    if t.length == 1:
-        return count_gap(cycle, t.gaps[0])
-    return count_constellation(cycle, t)
-
-
-def driving_terms_for_constellation(cycle: GapCycle, s: Constellation) -> Census:
-    """Census of cyclic windows whose partial sums hit s's boundaries exactly.
-
-    A window of j gaps is a driving term when its prefix sums pass through
-    g1, g1+g2, ..., |s| without overshooting any boundary; interior closures
-    then collapse it to s.  Positive gaps make the check deterministic.
-    """
-    boundaries = []
-    acc = 0
-    for g in s.gaps:
-        acc += g
-        boundaries.append(acc)
-    m = cycle.gap_count
-    ext = _extended(cycle.gaps, s.span)
-    counts: dict[int, int] = {}
-    nb = len(boundaries)
-    for i in range(m):
-        b = 0
-        acc = 0
-        k = 0
-        while b < nb:
-            acc += ext[i + k]
-            k += 1
-            if acc == boundaries[b]:
-                b += 1
-            elif acc > boundaries[b]:
-                break
-        if b == nb:
-            counts[k] = counts.get(k, 0) + 1
-    return Census(s, cycle.modulus, counts)
-
-
-def census_for(cycle: GapCycle, target: Constellation | int) -> Census:
-    """Driving-term census for a gap or a constellation."""
-    t = as_constellation(target)
-    if t.length == 1:
-        return driving_terms_for_gap(cycle, t.gaps[0])
-    return driving_terms_for_constellation(cycle, t)
+    return population_count(cycle, s)
 
 
 @dataclass
@@ -235,7 +210,7 @@ def census_table(cycle: GapCycle, gaps: list[int], max_len: int) -> CensusTable:
     """One census row per requested gap, truncated at max_len with a flag."""
     rows = []
     for g in gaps:
-        census = driving_terms_for_gap(cycle, g)
+        census = census_for(cycle, g)
         counts = [census.counts.get(j, 0) for j in range(1, max_len + 1)]
         truncated = any(c for j, c in census.counts.items() if j > max_len)
         rows.append(CensusTableRow(g, counts, truncated))

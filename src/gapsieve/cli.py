@@ -100,7 +100,7 @@ def cmd_census(args) -> int:
     cycle = cycle_mod.read_cache(args.cycle)
     if args.constellation:
         s = Constellation.parse(args.constellation)
-        result = census_mod.driving_terms_for_constellation(cycle, s)
+        result = census_mod.census_for(cycle, s)
         counts = result.vector(args.max_len or result.max_length)
         print(f"{s}," + ",".join(str(c) for c in counts))
         if args.csv:
@@ -165,7 +165,7 @@ def cmd_asymptotic(args) -> int:
                 f"constellation {s} is not valid at stage {cycle.prime}; "
                 "an interval sum has a larger prime factor"
             )
-        result = census_mod.driving_terms_for_constellation(cycle, s)
+        result = census_mod.census_for(cycle, s)
         v = dynsys.normalize(dynsys.PopulationVector.from_census(result), cycle.modulus)
         print(dynsys.asymptotic_ratio(v))
         return 0
@@ -223,9 +223,10 @@ def cmd_crossover(args) -> int:
 def cmd_attrition(args) -> int:
     cycle = cycle_mod.read_cache(args.cycle)
     trace = survival.attrition(cycle)
+    ps = trace.sieve_primes
+    stages = f"stages {ps[0]}..{ps[-1]}" if ps else "no sieving primes"
     print(
-        f"stages {trace.sieve_primes[0]}..{trace.sieve_primes[-1]}: "
-        f"{len(trace.initial_histogram)} gap sizes, "
+        f"{stages}: {len(trace.initial_histogram)} gap sizes, "
         f"{sum(trace.initial_histogram.values())} gaps -> {trace.final_gap_count} gaps, "
         f"max surviving gap {trace.max_surviving_gap}"
     )
@@ -270,7 +271,7 @@ def _reproduce_table5() -> list[str]:
     for text, span, j1, top, p0, counts, w_inf in refvalues.CONSTELLATION_CASES:
         s = Constellation.parse(text)
         cycle = load_or_build_cycle(p0)
-        result = census_mod.driving_terms_for_constellation(cycle, s)
+        result = census_mod.census_for(cycle, s)
         got = result.vector()
         v = dynsys.normalize(dynsys.PopulationVector.from_census(result), cycle.modulus)
         w = dynsys.asymptotic_ratio(v)
@@ -379,8 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="gapsieve",
         description="Cycles of gaps in Eratosthenes sieve: censuses, population models, asymptotics, survival.",
     )
-    ap.add_argument("--threads", type=int, default=1, metavar="N",
-                    help="worker threads for chunked scans (reserved; default 1)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build", help="build the cycle of gaps at a sieve stage")
@@ -465,8 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    if args.threads < 1:
-        ap.error("--threads must be >= 1")
     try:
         return args.func(args)
     except CapacityError as exc:

@@ -399,7 +399,8 @@ def read_cache(path: str, mmap: bool = False) -> GapCycle:
                 f"payload holds {len(payload) // 2} gaps, header says {gap_count}"
             )
         gaps = np.frombuffer(payload, dtype="<u2")
-    cyc = GapCycle(tuple(int(f) for f in factors), gaps.astype(np.uint16))
+    # '<u2' is uint16 on little-endian hosts, so a mapped payload stays mapped
+    cyc = GapCycle(tuple(int(f) for f in factors), gaps.astype(np.uint16, copy=False))
     if totient_from_factors(cyc.factors) != gap_count:
         raise CacheFormatError("gap count inconsistent with factor list")
     return cyc

@@ -24,16 +24,14 @@ import numpy as np
 from .census import Census, Constellation, as_constellation
 from .primal import (
     SquarefreeModulus,
-    _primes_array_upto,
     factorize,
     is_prime,
     iter_primes,
     next_prime,
     phi_i,
+    primes_upto,
     sieve_segment,
 )
-
-Rational = Fraction
 
 
 @dataclass(frozen=True)
@@ -225,7 +223,7 @@ def eigenvalue_products(
         raise ValueError(f"p0 {p0} must be at least jmax + 1 = {jmax + 1}")
     if pk <= p0:
         raise ValueError(f"need pk > p0, got {pk} <= {p0}")
-    base = _primes_array_upto(isqrt(pk))
+    base = np.array(primes_upto(isqrt(pk)), dtype=np.int64)
     sums = {j: [] for j in range(jmin, jmax + 1)}
     lo = p0 + 1
     while lo <= pk:

@@ -33,18 +33,7 @@ def primes_upto(n: int) -> list[int]:
     for p in range(2, isqrt(n) + 1):
         if sieve[p]:
             sieve[p * p :: p] = False
-    return [int(p) for p in np.flatnonzero(sieve)]
-
-
-def _primes_array_upto(n: int) -> np.ndarray:
-    if n < 2:
-        return np.empty(0, dtype=np.int64)
-    sieve = np.ones(n + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = False
-    return np.flatnonzero(sieve).astype(np.int64)
+    return np.flatnonzero(sieve).tolist()
 
 
 def sieve_segment(a: int, b: int, base: np.ndarray | None = None) -> np.ndarray:
@@ -53,7 +42,7 @@ def sieve_segment(a: int, b: int, base: np.ndarray | None = None) -> np.ndarray:
         return np.empty(0, dtype=np.int64)
     a = max(a, 2)
     if base is None:
-        base = _primes_array_upto(isqrt(b))
+        base = np.array(primes_upto(isqrt(b)), dtype=np.int64)
     mask = np.ones(b - a + 1, dtype=bool)
     for p in base.tolist():
         if p * p > b:
@@ -80,7 +69,7 @@ def primes_in(
     if b > budget:
         raise CapacityError(f"upper bound {b} exceeds sieve budget {budget}")
     a = max(a, 2)
-    base = _primes_array_upto(isqrt(b))
+    base = np.array(primes_upto(isqrt(b)), dtype=np.int64)
     out: list[int] = []
     lo = a
     while lo <= b:
@@ -95,7 +84,7 @@ def iter_primes(start: int = 2, block_size: int = DEFAULT_BLOCK_SIZE) -> Iterato
     lo = max(start, 2)
     while True:
         hi = lo + block_size - 1
-        base = _primes_array_upto(isqrt(hi))
+        base = np.array(primes_upto(isqrt(hi)), dtype=np.int64)
         for x in sieve_segment(lo, hi, base):
             yield int(x)
         lo = hi + 1

@@ -1,6 +1,11 @@
 import random
+from functools import lru_cache
+from itertools import accumulate
+from math import prod
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gapsieve.census import (
     Census,
@@ -11,9 +16,33 @@ from gapsieve.census import (
     count_gap,
     driving_terms_for_constellation,
     driving_terms_for_gap,
+    population_count,
 )
-from gapsieve.cycle import build_primorial_cycle, extend_cycle
+from gapsieve.cycle import build_primorial_cycle, cycle_for_factors, extend_cycle
+from gapsieve.dynsys import PopulationVector, iterate
+from gapsieve.primal import primes_upto
 from gapsieve.refvalues import GAP_CENSUS_13
+
+
+def brute_force_census(gaps: list[int], s: Constellation) -> dict[int, int]:
+    """Reference census: walk each start's window gap by gap, with wrap."""
+    boundaries = list(accumulate(s.gaps))
+    m = len(gaps)
+    counts: dict[int, int] = {}
+    for i in range(m):
+        b = 0
+        acc = 0
+        k = 0
+        while b < len(boundaries):
+            acc += gaps[(i + k) % m]
+            k += 1
+            if acc == boundaries[b]:
+                b += 1
+            elif acc > boundaries[b]:
+                break
+        if b == len(boundaries):
+            counts[k] = counts.get(k, 0) + 1
+    return counts
 
 
 def test_constellation_parse():
@@ -129,3 +158,49 @@ def test_conservation_recursion(g5, g7, g11, g13):
             for i, j in enumerate(range(1, top + 1)):
                 feed = av[i + 1] if i + 1 < len(av) else 0
                 assert bv[i] == (p - j - 1) * av[i] + j * feed
+
+
+@lru_cache(maxsize=None)
+def _cycle(factors: tuple[int, ...]):
+    return cycle_for_factors(factors)
+
+
+@st.composite
+def squarefree_factors(draw):
+    """Ascending distinct primes whose product is at most 1e5."""
+    fs = sorted(draw(st.sets(st.sampled_from(primes_upto(47)), min_size=1, max_size=5)))
+    while len(fs) > 1 and prod(fs) > 10**5:
+        fs.pop()
+    return tuple(fs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    squarefree_factors(),
+    st.lists(st.integers(1, 20).map(lambda h: 2 * h), min_size=1, max_size=5),
+)
+@example((2,), [4, 2, 6])  # span 12 wraps the one-gap cycle six times
+@example((3,), [2, 2, 2, 2, 2])  # odd gaps 1, 2; span 10 over modulus 3
+@example((2, 3), [4, 2, 4, 2, 4])  # the target is the two-gap cycle run 2.5 times
+@example((3, 5), [10, 2, 30, 4])  # span 46 over modulus 15
+@example((2, 3, 5), [40])
+def test_kernel_matches_brute_force(factors, target):
+    cyc = _cycle(factors)
+    s = Constellation(tuple(target))
+    got = census_for(cyc, s)
+    assert got.counts == brute_force_census(cyc.gaps.tolist(), s)
+    assert all(type(j) is int and type(c) is int and c for j, c in got.counts.items())
+    assert got.population == population_count(cyc, s)
+
+
+def test_census_population_matches_population_count(g7, g13):
+    for cyc in (g7, g13):
+        for s in (2, 30, Constellation((2, 10, 2)), Constellation((6, 6)),
+                  Constellation((2, 10, 2, 10, 2, 4, 2, 10, 2, 10, 2))):
+            assert census_for(cyc, s).population == population_count(cyc, s)
+
+
+def test_stage19_census_matches_model(g13):
+    seed = PopulationVector.from_census(census_for(g13, 30))
+    expected = [int(e) for e in iterate(seed, 13, 19).entries]
+    assert census_for(build_primorial_cycle(19), 30).vector() == expected

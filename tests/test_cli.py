@@ -124,6 +124,19 @@ def test_attrition_cli(cycle13, tmp_path, capsys):
     assert out.read_text().splitlines()[1] == "prime,gap,count,ratio_to_gap2"
 
 
+def test_attrition_cli_without_sieving_primes(tmp_path, capsys):
+    path = tmp_path / "g3.gapc"
+    assert main(["build", "--prime", "3", "--out", str(path)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "attr.csv"
+    assert main(["attrition", "--cycle", str(path), "--csv", str(out)]) == 0
+    text = capsys.readouterr().out
+    assert text.startswith("no sieving primes: ")
+    assert "2 gaps -> 2 gaps" in text
+    rows = out.read_text().splitlines()[2:]
+    assert rows and all(r.startswith("initial,") for r in rows)
+
+
 def test_naive_error_cli(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("GAPSIEVE_CACHE_DIR", str(tmp_path / "cache"))
     out = tmp_path / "err.csv"

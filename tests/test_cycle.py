@@ -140,6 +140,14 @@ def test_cache_round_trip(tmp_path, g13):
     assert back.gap_count == 5760
 
 
+def test_cache_mmap_read_stays_mapped(tmp_path, g13):
+    path = tmp_path / "g13.gapc"
+    write_cache(str(path), g13)
+    mapped = read_cache(str(path), mmap=True)
+    assert not mapped.gaps.flags.owndata
+    assert mapped == read_cache(str(path))
+
+
 def test_cache_layout(tmp_path):
     g3 = build_primorial_cycle(3)
     path = tmp_path / "g3.gapc"
