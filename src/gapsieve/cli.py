@@ -16,7 +16,7 @@ from . import census as census_mod
 from . import cycle as cycle_mod
 from . import dynsys, polignac, refvalues, survival
 from .census import Constellation
-from .primal import CapacityError, is_prime, next_prime, phi_i, primes_in
+from .primal import CapacityError, is_prime, phi_i, primes_in
 
 CACHE_ENV = "GAPSIEVE_CACHE_DIR"
 PRINT_LIMIT = 100_000  # refuse to dump larger cycles to stdout
@@ -69,17 +69,11 @@ def _parse_targets(gaps: list[int] | None, constellation: str | None):
 
 def cmd_build(args) -> int:
     p = _require_prime(args.prime)
-    if args.stream and not args.out:
-        raise ValueError("--stream writes to disk; pass --out FILE")
-    if args.out and args.stream:
-        cycle = cycle_mod.build_primorial_cycle_streaming(p, args.out)
-    else:
-        cycle = cycle_mod.build_primorial_cycle(p)
-        if args.out:
-            cycle_mod.write_cache(args.out, cycle)
     if args.out:
+        cycle = cycle_mod.build_primorial_cycle_streaming(p, args.out)
         print(f"wrote {cycle.gap_count} gaps (modulus {cycle.modulus}) to {args.out}")
     else:
+        cycle = cycle_mod.build_primorial_cycle(p)
         if cycle.gap_count > PRINT_LIMIT:
             raise ValueError(
                 f"{cycle.gap_count} gaps is too large to print; use --out FILE"
@@ -138,11 +132,7 @@ def cmd_model(args) -> int:
             lines.append(f"{p},{j},{raw},{Fraction(raw, ref_val)}")
 
     emit(p0, v, ref)
-    p = p0
-    while p < pk:
-        p = next_prime(p)
-        if p > pk:
-            break
+    for p in primes_in(p0 + 1, pk):
         v = dynsys.step(v, p)
         ref *= p - 2
         emit(p, v, ref)
@@ -384,9 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build", help="build the cycle of gaps at a sieve stage")
     p.add_argument("--prime", type=int, required=True, help="sieve stage (prime)")
-    p.add_argument("--out", help="cache file to write (.gapc)")
-    p.add_argument("--stream", action="store_true",
-                   help="stream the final stage to --out instead of holding it in memory")
+    p.add_argument("--out", help="cache file to write (.gapc); the final stage streams to it")
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("verify", help="validate a cycle cache file's structure")

@@ -5,12 +5,15 @@ coprime to N, starting from 1; the first gap reaches the next generator and
 the last one wraps from N-1 to N+1.  Cycles for larger moduli are built by a
 one-pass merge over concatenated copies of the smaller cycle: while walking
 the candidate values, any candidate divisible by the new prime is dropped and
-its two neighboring gaps coalesce.  The walk keeps only the candidate value's
-residue, so it streams.
+its two neighboring gaps coalesce.  The walk keeps only the running candidate
+value, so its output goes chunk by chunk to either a preallocated array or a
+cache file.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
 import struct
 from dataclasses import dataclass, field
 from math import isqrt
@@ -29,7 +32,7 @@ from .primal import (
 )
 
 GAP_LIMIT = 0xFFFF  # gaps are stored as u16
-DEFAULT_CHUNK_GAPS = 1 << 20
+CHUNK_GAPS = 1 << 16  # source gaps per slice of the merge walk; its int64 temporaries stay in cache
 
 CACHE_MAGIC = b"GAPC"
 CACHE_VERSION = 1
@@ -101,44 +104,41 @@ def _as_cycle(factors: tuple[int, ...], gaps: np.ndarray) -> GapCycle:
     return GapCycle(factors, np.ascontiguousarray(gaps, dtype=np.uint16))
 
 
-def _base_cycle(p: int) -> GapCycle:
-    # generators of Z mod p are 1..p-1, so the gaps are (p-2) ones and a 2
-    if p == 2:
-        return _as_cycle((2,), np.array([2], dtype=np.uint16))
-    return _as_cycle((p,), np.array([1] * (p - 2) + [2], dtype=np.uint16))
+# modulus 1: the single gap from 1 to 2, which every cycle is merged out of
+_UNIT_CYCLE = GapCycle((), np.ones(1, dtype=np.uint16))
 
 
-def _merged_chunks(
-    gaps: np.ndarray, q: int, chunk_gaps: int = DEFAULT_CHUNK_GAPS
-) -> Iterator[np.ndarray]:
-    """Yield the gaps of the extended cycle in int64 chunks.
+def _merged_chunks(gaps: np.ndarray, q: int) -> Iterator[np.ndarray]:
+    """Yield the gaps of the extended cycle in u16 chunks.
 
-    Walks q concatenated copies of ``gaps`` tracking the running candidate
-    value; candidates divisible by q are dropped, which merges the pending
-    gap into the next one.  The start value 1 and the end value qN+1 are
-    congruent to 1 mod q, so the walk never merges across the wrap.
+    Walks q concatenated copies of ``gaps``, CHUNK_GAPS source gaps at a
+    time, tracking the running candidate value; candidates divisible by q
+    are dropped, which merges the pending gap into the next one.  The start
+    value 1 and the end value qN+1 are congruent to 1 mod q, so the walk
+    never merges across the wrap.
     """
-    src = gaps.astype(np.int64)
-    m = len(src)
-    value = 1  # candidate value at the start of the pending chunk
+    m = len(gaps)
+    # a short source is walked several whole copies per slice
+    copies = max(1, min(q, CHUNK_GAPS // m))
+    src = np.tile(gaps, copies) if copies > 1 else gaps
+    value = 1  # candidate value at the start of the pending slice
     last_kept = 1
-    for _rep in range(q):
-        lo = 0
-        while lo < m:
-            part = src[lo : lo + chunk_gaps]
-            vals = value + np.cumsum(part, dtype=np.int64)
+    for done in range(0, q, copies):
+        run = src[: min(copies, q - done) * m]
+        for lo in range(0, len(run), CHUNK_GAPS):
+            vals = value + np.cumsum(run[lo : lo + CHUNK_GAPS], dtype=np.int64)
             kept = vals[vals % q != 0]
             if len(kept):
-                out = np.diff(np.concatenate(([last_kept], kept)))
+                out = np.diff(kept, prepend=last_kept)
+                mx = int(out.max())
+                if mx > GAP_LIMIT:
+                    raise CapacityError(f"gap {mx} exceeds u16 storage")
                 last_kept = int(kept[-1])
-                yield out
+                yield out.astype(np.uint16)
             value = int(vals[-1])
-            lo += len(part)
 
 
-def extend_cycle(
-    cycle: GapCycle, q: int, chunk_gaps: int = DEFAULT_CHUNK_GAPS
-) -> GapCycle:
+def extend_cycle(cycle: GapCycle, q: int) -> GapCycle:
     """Cycle for q*N from the cycle for N.
 
     If q already divides N the result is q concatenated copies; otherwise one
@@ -148,22 +148,28 @@ def extend_cycle(
         raise ValueError(f"{q} is not prime")
     factors = tuple(sorted(cycle.factors + (q,)))
     if cycle.modulus % q == 0:
-        return _as_cycle(factors, np.tile(cycle.gaps, q))
-    chunks = [c for c in _merged_chunks(cycle.gaps, q, chunk_gaps)]
-    merged = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
-    return _as_cycle(factors, merged)
+        return GapCycle(factors, np.tile(cycle.gaps, q))
+    out = np.empty(q * cycle.gap_count - totient_from_factors(cycle.factors), np.uint16)
+    filled = 0
+    for chunk in _merged_chunks(cycle.gaps, q):
+        out[filled : filled + len(chunk)] = chunk
+        filled += len(chunk)
+    if filled != len(out):
+        raise AssertionError(f"merged {filled} gaps, expected {len(out)}")
+    return GapCycle(factors, out)
 
 
-def build_primorial_cycle(p: int, chunk_gaps: int = DEFAULT_CHUNK_GAPS) -> GapCycle:
-    """The cycle of gaps at sieve stage p, built recursively from [2]."""
+def _check_stage(p: int) -> None:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if p > PRIME_FACTOR_CAP:
         raise CapacityError(f"stage {p} exceeds the construction cap {PRIME_FACTOR_CAP}")
-    cycle = _base_cycle(2)
-    for q in primes_upto(p)[1:]:
-        cycle = extend_cycle(cycle, q, chunk_gaps)
-    return cycle
+
+
+def build_primorial_cycle(p: int) -> GapCycle:
+    """The cycle of gaps at sieve stage p, built one stage prime at a time."""
+    _check_stage(p)
+    return cycle_for_factors(primes_upto(p))
 
 
 def cycle_for_factors(factors: Iterable[int]) -> GapCycle:
@@ -171,46 +177,26 @@ def cycle_for_factors(factors: Iterable[int]) -> GapCycle:
     fs = sorted(factors)
     if not fs:
         raise ValueError("need at least one prime factor")
-    cycle = _base_cycle(fs[0])
-    for q in fs[1:]:
+    cycle = _UNIT_CYCLE
+    for q in fs:
         if cycle.modulus % q == 0:
             raise ValueError(f"repeated factor {q}")
         cycle = extend_cycle(cycle, q)
     return cycle
 
 
-def build_primorial_cycle_streaming(
-    p: int, out_path: str, chunk_gaps: int = DEFAULT_CHUNK_GAPS
-) -> GapCycle:
-    """Stage-by-stage build that never holds more than one stage in memory.
+def build_primorial_cycle_streaming(p: int, out_path: str) -> GapCycle:
+    """Build stage p straight into the cache file ``out_path``.
 
-    Produces a cache file identical byte-for-byte to writing the in-memory
-    build.  The final stage is streamed to ``out_path`` chunk-wise; earlier
-    stages are small enough to keep in RAM.
+    Stage prev_prime(p) is built in memory and its merge walk by p goes to
+    the cache writer, so the stage-p cycle is never held in RAM.  The file
+    is byte-identical to write_cache of build_primorial_cycle(p); the result
+    is read back memory-mapped.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    ps = primes_upto(p)
-    cycle = _base_cycle(2)
-    for q in ps[1:-1] if len(ps) > 1 else []:
-        cycle = extend_cycle(cycle, q, chunk_gaps)
-    if len(ps) == 1:
-        write_cache(out_path, cycle)
-        return read_cache(out_path, mmap=True)
-    q = ps[-1]
-    factors = tuple(sorted(cycle.factors + (q,)))
-    gap_count = cycle.gap_count * q - totient_from_factors(cycle.factors)
-    with open(out_path, "wb") as fh:
-        fh.write(_cache_header(factors, gap_count))
-        written = 0
-        for chunk in _merged_chunks(cycle.gaps, q, chunk_gaps):
-            mx = int(chunk.max())
-            if mx > GAP_LIMIT:
-                raise CapacityError(f"gap {mx} exceeds u16 storage")
-            fh.write(chunk.astype("<u2").tobytes())
-            written += len(chunk)
-    if written != gap_count:
-        raise AssertionError(f"streamed {written} gaps, expected {gap_count}")
+    _check_stage(p)
+    prev = _UNIT_CYCLE if p == 2 else build_primorial_cycle(prev_prime(p))
+    factors = prev.factors + (p,)
+    _write_gapc(out_path, factors, totient_from_factors(factors), _merged_chunks(prev.gaps, p))
     return read_cache(out_path, mmap=True)
 
 
@@ -310,15 +296,16 @@ def verify_cycle(cycle: GapCycle, oracle: bool = False) -> CycleReport:
     checks["count"] = m == phi
     if not checks["count"]:
         details["count"] = f"{m} gaps, totient {phi}"
-    total = int(cycle.gaps.astype(np.int64).sum())
+    total = int(cycle.gaps.sum(dtype=np.int64))
     checks["sum"] = total == n
     if not checks["sum"]:
         details["sum"] = f"gaps sum to {total}, modulus {n}"
     if n > 2:
         checks["last_gap"] = int(cycle.gaps[-1]) == 2
     if n % 2 == 0:
-        checks["even_gaps"] = bool((cycle.gaps.astype(np.int64) % 2 == 0).all())
-    body = cycle.gaps[:-1].astype(np.int64)
+        # an odd gap sets bit 0 of the OR over all gaps
+        checks["even_gaps"] = not int(np.bitwise_or.reduce(cycle.gaps)) & 1
+    body = cycle.gaps[:-1]
     checks["palindrome"] = bool(np.array_equal(body, body[::-1]))
 
     if cycle.is_primorial and cycle.prime >= 3:
@@ -326,7 +313,7 @@ def verify_cycle(cycle: GapCycle, oracle: bool = False) -> CycleReport:
         checks["first_gap"] = int(cycle.gaps[0]) + 1 == next_prime(p)
         if p >= 5:
             twice_prev = 2 * prev_prime(p)
-            cnt = int((cycle.gaps.astype(np.int64) == twice_prev).sum())
+            cnt = int(np.count_nonzero(cycle.gaps == twice_prev))
             checks["two_widest_pairs"] = cnt >= 2
             if not checks["two_widest_pairs"]:
                 details["two_widest_pairs"] = f"{cnt} gaps of {twice_prev}"
@@ -334,7 +321,7 @@ def verify_cycle(cycle: GapCycle, oracle: bool = False) -> CycleReport:
             # the central gap straddles N/2; by symmetry it is gap m/2
             c = m // 2
             lo = (c - 1) - (len(run) - 1) // 2
-            got = cycle.gaps[lo : lo + len(run)].astype(np.int64).tolist()
+            got = cycle.gaps[lo : lo + len(run)].tolist()
             checks["central_run"] = got == run
             if not checks["central_run"]:
                 details["central_run"] = f"got {got}, expected {run}"
@@ -356,11 +343,36 @@ def _cache_header(factors: tuple[int, ...], gap_count: int) -> bytes:
     return bytes(head)
 
 
+def _write_gapc(
+    path: str, factors: tuple[int, ...], gap_count: int, chunks: Iterable[np.ndarray]
+) -> None:
+    """Write a cache file from u16 gap chunks, atomically.
+
+    The file is written beside ``path`` under a temporary name and moved into
+    place only once all ``gap_count`` gaps are in, so an interrupted write
+    leaves whatever was at ``path`` before.
+    """
+    head = _cache_header(factors, gap_count)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(head)
+            written = 0
+            for chunk in chunks:
+                fh.write(np.ascontiguousarray(chunk, dtype="<u2"))
+                written += len(chunk)
+        if written != gap_count:
+            raise AssertionError(f"wrote {written} gaps, expected {gap_count}")
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def write_cache(path: str, cycle: GapCycle) -> None:
     """Write the binary cache: GAPC, version, factors, count, u16 gaps."""
-    with open(path, "wb") as fh:
-        fh.write(_cache_header(cycle.factors, cycle.gap_count))
-        fh.write(cycle.gaps.astype("<u2").tobytes())
+    _write_gapc(path, cycle.factors, cycle.gap_count, [cycle.gaps])
 
 
 def read_cache(path: str, mmap: bool = False) -> GapCycle:

@@ -29,6 +29,7 @@ from .primal import (
     iter_primes,
     next_prime,
     phi_i,
+    primes_in,
     primes_upto,
     sieve_segment,
 )
@@ -144,9 +145,7 @@ def iterate(v: PopulationVector, p0: int, pk: int) -> PopulationVector:
     """Apply every stage prime in (p0, pk], ascending."""
     if p0 >= pk:
         raise ValueError(f"need p0 < pk, got {p0} >= {pk}")
-    for p in iter_primes(p0 + 1):
-        if p > pk:
-            break
+    for p in primes_in(p0 + 1, pk):
         v = step(v, p)
     return v
 

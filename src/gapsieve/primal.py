@@ -8,7 +8,7 @@ so that enumerating a window [a, b] costs O(sqrt(b) + (b - a)) memory.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import isqrt
 from typing import Iterator
 
 import numpy as np
@@ -210,8 +210,3 @@ def phi_i(i: int, modulus: SquarefreeModulus | int) -> int:
         if q > i:
             v *= q - i
     return v
-
-
-def coprime_count(n: int) -> int:
-    """Brute-force count of integers in [1, n] coprime to n (test oracle)."""
-    return sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)

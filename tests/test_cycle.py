@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+import gapsieve.cycle as cycle_mod
 from gapsieve.cycle import (
     CacheFormatError,
     GapCycle,
@@ -188,9 +189,10 @@ def test_cache_truncated(tmp_path, g5):
         read_cache(str(path))
 
 
-def test_streaming_build_matches_in_memory(tmp_path, g13):
+def test_streaming_build_matches_in_memory(tmp_path, g13, monkeypatch):
+    monkeypatch.setattr(cycle_mod, "CHUNK_GAPS", 1000)
     path = tmp_path / "g13s.gapc"
-    build_primorial_cycle_streaming(13, str(path), chunk_gaps=1000)
+    build_primorial_cycle_streaming(13, str(path))
     streamed = read_cache(str(path))
     assert streamed == g13
     # byte-identical to the in-memory writer
@@ -199,5 +201,38 @@ def test_streaming_build_matches_in_memory(tmp_path, g13):
     assert path.read_bytes() == mem_path.read_bytes()
 
 
-def test_chunked_and_unchunked_extends_agree(g5):
-    assert extend_cycle(g5, 7, chunk_gaps=3) == extend_cycle(g5, 7)
+def test_chunked_and_unchunked_extends_agree(g5, monkeypatch):
+    whole = extend_cycle(g5, 7)
+    monkeypatch.setattr(cycle_mod, "CHUNK_GAPS", 3)
+    assert extend_cycle(g5, 7) == whole
+
+
+def test_interrupted_cache_writes_leave_target_intact(tmp_path, g5, g7):
+    path = tmp_path / "g.gapc"
+    write_cache(str(path), g5)
+    before = path.read_bytes()
+    real_walk = cycle_mod._merged_chunks
+
+    def failing_walk(gaps, q, *rest):
+        # the earlier stages build normally; the walk by 7 stops after one chunk
+        chunks = real_walk(gaps, q, *rest)
+        if q == 7:
+            yield next(chunks)
+            raise KeyboardInterrupt
+        yield from chunks
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cycle_mod, "_merged_chunks", failing_walk)
+        with pytest.raises(KeyboardInterrupt):
+            build_primorial_cycle_streaming(7, str(path))
+        fresh = tmp_path / "fresh.gapc"
+        with pytest.raises(KeyboardInterrupt):
+            build_primorial_cycle_streaming(7, str(fresh))
+    assert path.read_bytes() == before
+    assert not fresh.exists()
+    # a header that cannot be written must not truncate the existing file
+    too_many = GapCycle(tuple(range(256)), g7.gaps)
+    with pytest.raises(CacheFormatError):
+        write_cache(str(path), too_many)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.gapc"]

@@ -1,9 +1,10 @@
+from math import gcd
+
 import pytest
 
 from gapsieve.primal import (
     CapacityError,
     SquarefreeModulus,
-    coprime_count,
     factorize,
     is_prime,
     next_prime,
@@ -60,6 +61,11 @@ def test_phi_i_examples():
     assert phi_i(1, 30) == 8
     assert phi_i(2, primorial(13)) == 1485
     assert phi_i(4, 6) == 1
+
+
+def coprime_count(n: int) -> int:
+    """Brute-force count of integers in [1, n] coprime to n."""
+    return sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
 
 
 def test_phi_1_matches_brute_force_coprime_count():
