@@ -1,6 +1,6 @@
 """Command-line interface: one subcommand per library operation.
 
-Exit codes: 0 success, 1 validation error, 2 capacity or budget error.  CSV
+Exit codes: 0 success, 1 validation error, 2 capacity error.  CSV
 output is deterministic for fixed inputs; metadata lines are prefixed '#'.
 """
 
@@ -16,7 +16,7 @@ from . import census as census_mod
 from . import cycle as cycle_mod
 from . import dynsys, polignac, refvalues, survival
 from .census import Constellation
-from .primal import CapacityError, is_prime, phi_i, primes_in
+from .primal import CapacityError, phi_i, primes_in
 
 CACHE_ENV = "GAPSIEVE_CACHE_DIR"
 PRINT_LIMIT = 100_000  # refuse to dump larger cycles to stdout
@@ -48,12 +48,6 @@ def _write_text(path: str | None, text: str) -> None:
         Path(path).write_text(text)
 
 
-def _require_prime(p: int, what: str = "prime") -> int:
-    if not is_prime(p):
-        raise ValueError(f"{what} {p} is not prime")
-    return p
-
-
 def _parse_targets(gaps: list[int] | None, constellation: str | None):
     targets: list[Constellation | int] = []
     if gaps:
@@ -68,12 +62,11 @@ def _parse_targets(gaps: list[int] | None, constellation: str | None):
 
 
 def cmd_build(args) -> int:
-    p = _require_prime(args.prime)
     if args.out:
-        cycle = cycle_mod.build_primorial_cycle_streaming(p, args.out)
+        cycle = cycle_mod.build_primorial_cycle_streaming(args.prime, args.out)
         print(f"wrote {cycle.gap_count} gaps (modulus {cycle.modulus}) to {args.out}")
     else:
-        cycle = cycle_mod.build_primorial_cycle(p)
+        cycle = cycle_mod.build_primorial_cycle(args.prime)
         if cycle.gap_count > PRINT_LIMIT:
             raise ValueError(
                 f"{cycle.gap_count} gaps is too large to print; use --out FILE"
@@ -233,7 +226,7 @@ def cmd_naive_error(args) -> int:
         if p > 23 and not args.stream_ok:
             raise CapacityError(f"stage {p} cycle needs streaming; rerun with --stream-ok")
         cycles.append(load_or_build_cycle(p))
-    rows = survival.error_report(cycles, targets, budget=args.budget)
+    rows = survival.error_report(cycles, targets)
     _write_text(args.csv, survival.error_report_csv(rows))
     return 0
 
@@ -435,7 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pmax", type=int, required=True)
     p.add_argument("--gaps", type=int, nargs="*", default=[], metavar="G")
     p.add_argument("--constellation", metavar="LIST")
-    p.add_argument("--budget", type=int, default=10**10)
     p.add_argument("--csv", required=True, metavar="OUT")
     p.add_argument("--stream-ok", action="store_true",
                    help="allow stages past 23 (large builds)")

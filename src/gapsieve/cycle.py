@@ -16,7 +16,6 @@ import contextlib
 import os
 import struct
 from dataclasses import dataclass, field
-from math import isqrt
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -25,6 +24,7 @@ from .primal import (
     PRIME_FACTOR_CAP,
     CapacityError,
     SquarefreeModulus,
+    factorize,
     is_prime,
     next_prime,
     prev_prime,
@@ -205,33 +205,17 @@ def oracle_cycle(modulus: SquarefreeModulus | int) -> GapCycle:
 
     Used to cross-check the recursive builder; N is capped at 1e8.
     """
-    if isinstance(modulus, SquarefreeModulus):
-        factors = list(modulus.factors)
-        n = modulus.value
-    else:
-        n = int(modulus)
-        factors = [p for p in primes_upto(isqrt(n)) if n % p == 0]
-        rem = n
-        for p in factors:
-            while rem % p == 0:
-                rem //= p
-        if rem > 1:
-            factors.append(rem)
+    n = int(modulus)
     if n > 10**8:
         raise CapacityError(f"oracle scan of {n} exceeds the 1e8 cap")
+    factorization = factorize(n)
     coprime = np.ones(n + 2, dtype=bool)
     coprime[0] = False
-    for q in factors:
+    for q, _ in factorization:
         coprime[q::q] = False
     vals = np.flatnonzero(coprime)  # 1 .. N+1, both endpoints coprime
-    gaps = np.diff(vals)
-    fs: list[int] = []
-    for q in sorted(set(factors)):
-        v = n
-        while v % q == 0:
-            fs.append(q)
-            v //= q
-    return _as_cycle(tuple(fs), gaps)
+    fs = tuple(q for q, e in factorization for _ in range(e))
+    return _as_cycle(fs, np.diff(vals))
 
 
 def render_compact(gaps: np.ndarray | GapCycle) -> str:
@@ -305,15 +289,24 @@ def verify_cycle(cycle: GapCycle, oracle: bool = False) -> CycleReport:
     if n % 2 == 0:
         # an odd gap sets bit 0 of the OR over all gaps
         checks["even_gaps"] = not int(np.bitwise_or.reduce(cycle.gaps)) & 1
+    # chunked, so a mapped cycle is compared without a cycle-long temporary
     body = cycle.gaps[:-1]
-    checks["palindrome"] = bool(np.array_equal(body, body[::-1]))
+    half = len(body) // 2
+    head, tail = body[:half], body[::-1][:half]
+    checks["palindrome"] = all(
+        np.array_equal(head[lo : lo + CHUNK_GAPS], tail[lo : lo + CHUNK_GAPS])
+        for lo in range(0, half, CHUNK_GAPS)
+    )
 
     if cycle.is_primorial and cycle.prime >= 3:
         p = cycle.prime
         checks["first_gap"] = int(cycle.gaps[0]) + 1 == next_prime(p)
         if p >= 5:
             twice_prev = 2 * prev_prime(p)
-            cnt = int(np.count_nonzero(cycle.gaps == twice_prev))
+            cnt = sum(
+                int(np.count_nonzero(cycle.gaps[lo : lo + CHUNK_GAPS] == twice_prev))
+                for lo in range(0, m, CHUNK_GAPS)
+            )
             checks["two_widest_pairs"] = cnt >= 2
             if not checks["two_widest_pairs"]:
                 details["two_widest_pairs"] = f"{cnt} gaps of {twice_prev}"

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import comb, isqrt
+from math import comb
 
 import numpy as np
 
@@ -26,12 +26,10 @@ from .primal import (
     SquarefreeModulus,
     factorize,
     is_prime,
-    iter_primes,
     next_prime,
     phi_i,
+    prime_blocks,
     primes_in,
-    primes_upto,
-    sieve_segment,
 )
 
 
@@ -210,29 +208,23 @@ def validity(target: Constellation | int, p0: int) -> Validity:
     return Validity.ASYMPTOTIC_ONLY
 
 
-def eigenvalue_products(
-    p0: int, pk: int, jmax: int, jmin: int = 2, block: int = 1 << 22
-) -> dict[int, float]:
-    """Products of (p - j - 1)/(p - 2) over stage primes in (p0, pk].
+def eigenvalue_products(p0: int, pk: int, jmax: int) -> dict[int, float]:
+    """Products of (p - j - 1)/(p - 2) over stage primes in (p0, pk], j = 2..jmax.
 
-    Accumulated as compensated log sums over fixed-size prime blocks so the
-    result is deterministic and keeps well over 12 significant digits.
+    Accumulated as compensated log sums over the fixed prime blocks of
+    prime_blocks, so the result is deterministic and keeps well over 12
+    significant digits.
     """
     if p0 < jmax + 1:
         raise ValueError(f"p0 {p0} must be at least jmax + 1 = {jmax + 1}")
     if pk <= p0:
         raise ValueError(f"need pk > p0, got {pk} <= {p0}")
-    base = np.array(primes_upto(isqrt(pk)), dtype=np.int64)
-    sums = {j: [] for j in range(jmin, jmax + 1)}
-    lo = p0 + 1
-    while lo <= pk:
-        hi = min(lo + block - 1, pk)
-        ps = sieve_segment(lo, hi, base).astype(np.float64)
-        if len(ps):
-            for j in range(jmin, jmax + 1):
-                logs = np.log((ps - (j + 1)) / (ps - 2.0))
-                sums[j].append(math.fsum(logs.tolist()))
-        lo = hi + 1
+    sums = {j: [] for j in range(2, jmax + 1)}
+    for ps in prime_blocks(p0 + 1, pk):
+        ps = ps.astype(np.float64)  # rebinding frees the int64 block before the next sieve
+        for j, parts in sums.items():
+            logs = np.log((ps - (j + 1)) / (ps - 2.0))
+            parts.append(math.fsum(logs.tolist()))
     return {j: math.exp(math.fsum(parts)) for j, parts in sums.items()}
 
 
@@ -304,9 +296,10 @@ def approximate_prime_for_decay(a2_target: float, p0: int, anchor: int = 10**6) 
         raise ValueError("target must be in (0, 1)")
     a2_anchor = eigenvalue_products(p0, anchor, 2)[2]
     if a2_target >= a2_anchor:
-        # target reached before the anchor: walk directly
+        # the target is reached by the anchor: walk directly; if the walk's
+        # rounding falls short of it, the extrapolation below still answers
         prod = 1.0
-        for p in iter_primes(p0 + 1):
+        for p in primes_in(p0 + 1, anchor):
             prod *= (p - 3) / (p - 2)
             if prod <= a2_target:
                 return float(p)

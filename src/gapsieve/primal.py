@@ -1,8 +1,11 @@
 """Prime generation, squarefree moduli, and generalized totients.
 
 Everything downstream (cycle construction, censuses, the population model)
-consumes primes and factorizations from this module.  The sieve is segmented
-so that enumerating a window [a, b] costs O(sqrt(b) + (b - a)) memory.
+consumes primes and factorizations from this module.  Every prime list and
+block comes from one segmented sieve, ``sieve_segment``, so sieving a window
+[a, b] holds O(sqrt(b) + SIEVE_BLOCK) working memory at a time.  The trial
+division in ``is_prime`` and ``factorize`` serves single numbers: input checks
+and the tests' independent reference.
 """
 
 from __future__ import annotations
@@ -16,8 +19,11 @@ import numpy as np
 # Cycle construction is unreachable at desk scale beyond this factor bound.
 PRIME_FACTOR_CAP = 101
 
-DEFAULT_BLOCK_SIZE = 1 << 20
 DEFAULT_SIEVE_BUDGET = 10**10
+
+# Integers per sieve block.  eigenvalue_products takes one fsum per block, so
+# this partition fixes the rounding of a_j: changing it changes a_j's low bits.
+SIEVE_BLOCK = 1 << 22
 
 
 class CapacityError(RuntimeError):
@@ -26,23 +32,16 @@ class CapacityError(RuntimeError):
 
 def primes_upto(n: int) -> list[int]:
     """All primes <= n, ascending."""
-    if n < 2:
-        return []
-    sieve = np.ones(n + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = False
-    return np.flatnonzero(sieve).tolist()
+    return sieve_segment(2, n).tolist()
 
 
 def sieve_segment(a: int, b: int, base: np.ndarray | None = None) -> np.ndarray:
-    """Primes in [a, b] as an int64 array, by striking base-prime multiples."""
+    """Primes in [a, b] as int64, striking multiples of ``base`` (all primes <= isqrt(b))."""
+    a = max(a, 2)
     if a > b:
         return np.empty(0, dtype=np.int64)
-    a = max(a, 2)
     if base is None:
-        base = np.array(primes_upto(isqrt(b)), dtype=np.int64)
+        base = sieve_segment(2, isqrt(b))
     mask = np.ones(b - a + 1, dtype=bool)
     for p in base.tolist():
         if p * p > b:
@@ -53,13 +52,18 @@ def sieve_segment(a: int, b: int, base: np.ndarray | None = None) -> np.ndarray:
     return np.flatnonzero(mask) + a
 
 
-def primes_in(
-    a: int,
-    b: int,
-    block_size: int = DEFAULT_BLOCK_SIZE,
-    budget: int = DEFAULT_SIEVE_BUDGET,
-) -> list[int]:
-    """Ascending list of the primes in [a, b], sieved in blocks.
+def prime_blocks(a: int, b: int) -> Iterator[np.ndarray]:
+    """The primes in [a, b] as int64 arrays, one per SIEVE_BLOCK integers from a.
+
+    The base primes up to isqrt(b) are sieved once for all blocks.
+    """
+    base = sieve_segment(2, isqrt(max(b, 0)))
+    for lo in range(a, b + 1, SIEVE_BLOCK):
+        yield sieve_segment(lo, min(lo + SIEVE_BLOCK - 1, b), base)
+
+
+def primes_in(a: int, b: int, budget: int = DEFAULT_SIEVE_BUDGET) -> list[int]:
+    """Ascending list of the primes in [a, b].
 
     Raises ValueError on an inverted range and CapacityError when b exceeds
     the configured budget.
@@ -68,26 +72,7 @@ def primes_in(
         raise ValueError(f"inverted range [{a}, {b}]")
     if b > budget:
         raise CapacityError(f"upper bound {b} exceeds sieve budget {budget}")
-    a = max(a, 2)
-    base = np.array(primes_upto(isqrt(b)), dtype=np.int64)
-    out: list[int] = []
-    lo = a
-    while lo <= b:
-        hi = min(lo + block_size - 1, b)
-        out.extend(int(x) for x in sieve_segment(lo, hi, base))
-        lo = hi + 1
-    return out
-
-
-def iter_primes(start: int = 2, block_size: int = DEFAULT_BLOCK_SIZE) -> Iterator[int]:
-    """Unbounded ascending stream of primes >= start."""
-    lo = max(start, 2)
-    while True:
-        hi = lo + block_size - 1
-        base = np.array(primes_upto(isqrt(hi)), dtype=np.int64)
-        for x in sieve_segment(lo, hi, base):
-            yield int(x)
-        lo = hi + 1
+    return [p for ps in prime_blocks(a, b) for p in ps.tolist()]
 
 
 def is_prime(n: int) -> bool:

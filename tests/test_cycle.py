@@ -19,7 +19,7 @@ from gapsieve.cycle import (
     verify_cycle,
     write_cache,
 )
-from gapsieve.primal import primes_upto
+from gapsieve.primal import primes_upto, primorial
 from gapsieve.refvalues import (
     CYCLE_3_COMPACT,
     CYCLE_5_COMPACT,
@@ -63,6 +63,13 @@ def test_extension_of_oracle_cycle_matches_oracle():
     c10 = oracle_cycle(10)
     assert c10.gaps.tolist() == [2, 4, 2, 2]
     assert extend_cycle(c10, 3) == oracle_cycle(30)
+
+
+def test_oracle_cycle_factoring():
+    # a repeated factor, a SquarefreeModulus argument, a factor above sqrt(N)
+    assert oracle_cycle(12) == extend_cycle(build_primorial_cycle(3), 2)
+    assert oracle_cycle(primorial(7)) == build_primorial_cycle(7)
+    assert oracle_cycle(194) == cycle_for_factors([2, 97])
 
 
 def test_oracle_equivalence_primorials(g13):
@@ -126,6 +133,19 @@ def test_verify_cycle_detects_perturbation(g5):
     report = verify_cycle(bad)
     assert not report.checks["sum"]
     assert not report.ok
+
+
+def test_verify_cycle_palindrome_checked_in_chunks(g13, monkeypatch):
+    monkeypatch.setattr(cycle_mod, "CHUNK_GAPS", 3)
+    assert verify_cycle(g13).ok
+    # swap two unequal adjacent gaps past the first chunk: the sum still holds
+    gaps = g13.gaps.copy()
+    i = next(i for i in range(3, len(gaps) // 2) if gaps[i] != gaps[i + 1])
+    gaps[i], gaps[i + 1] = gaps[i + 1], gaps[i]
+    report = verify_cycle(GapCycle(g13.factors, gaps))
+    assert report.checks["sum"]
+    assert not report.checks["palindrome"]
+    assert "palindrome: FAIL" in report.lines()
 
 
 def test_totient_from_factors():

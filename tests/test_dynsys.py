@@ -157,6 +157,25 @@ def test_eigenvalue_products_match_exact_oracle():
         assert rel < 1e-10
 
 
+# a_j over stage primes in (13, 2e7], which span 5 sieve blocks, as float.hex.
+# The block partition fixes the fsum rounding, so these hold bit for bit.
+A_J_13_2E7_HEX = {
+    2: "0x1.57908be975b53p-3",
+    3: "0x1.c370d01346218p-6",
+    4: "0x1.21c9634ccb601p-8",
+    5: "0x1.6a958e4c0eacdp-11",
+    6: "0x1.b8c8785ce40bbp-14",
+    7: "0x1.03507cd76124bp-16",
+    8: "0x1.25db7b1eb23acp-19",
+    9: "0x1.3ea47af597b3cp-22",
+}
+
+
+def test_eigenvalue_products_bit_identical_across_blocks():
+    prods = eigenvalue_products(13, 2 * 10**7, 9)
+    assert {j: a.hex() for j, a in prods.items()} == A_J_13_2E7_HEX
+
+
 def test_eigenvalue_products_monotone_and_bounded():
     for pk in (10**4, 10**5, 10**7):
         prods = eigenvalue_products(13, pk, 9)

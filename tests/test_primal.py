@@ -2,6 +2,7 @@ from math import gcd
 
 import pytest
 
+from gapsieve import primal
 from gapsieve.primal import (
     CapacityError,
     SquarefreeModulus,
@@ -32,8 +33,10 @@ def test_primes_in_window_consistency():
     assert primes_in(a, m) + primes_in(m + 1, b) == primes_in(a, b)
 
 
-def test_primes_in_small_blocks_equal_one_shot():
-    assert primes_in(2, 10_000, block_size=97) == primes_in(2, 10_000)
+def test_primes_in_small_blocks_equal_one_shot(monkeypatch):
+    one_shot = primes_in(2, 10_000)
+    monkeypatch.setattr(primal, "SIEVE_BLOCK", 97)
+    assert primes_in(2, 10_000) == one_shot
 
 
 def test_primes_in_errors():
