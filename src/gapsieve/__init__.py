@@ -12,10 +12,7 @@ from .census import (
     Constellation,
     census_for,
     census_table,
-    count_constellation,
-    count_gap,
-    driving_terms_for_constellation,
-    driving_terms_for_gap,
+    population_count,
 )
 from .cycle import (
     CacheFormatError,
@@ -40,14 +37,12 @@ from .dynsys import (
     eigendecompose,
     eigenvalue_products,
     iterate,
-    normalize,
     polynomial_approx,
     step,
     validity,
 )
 from .polignac import (
     RepetitionSpec,
-    census_crosscheck,
     hl_ratio,
     partial_ratio,
     repetition_weight,

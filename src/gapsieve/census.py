@@ -139,16 +139,6 @@ def census_for(cycle: GapCycle, target: Constellation | int) -> Census:
     return Census(t, cycle.modulus, _window_counts(cycle.gaps, boundaries))
 
 
-def driving_terms_for_gap(cycle: GapCycle, g: int) -> Census:
-    """Census of cyclic windows of consecutive gaps summing to g."""
-    return census_for(cycle, g)
-
-
-def driving_terms_for_constellation(cycle: GapCycle, s: Constellation) -> Census:
-    """Census of cyclic windows whose partial sums hit s's boundaries exactly."""
-    return census_for(cycle, s)
-
-
 def population_count(cycle: GapCycle, target: Constellation | int) -> int:
     """The target's own population: cyclic starts whose next gaps equal it.
 
@@ -163,16 +153,6 @@ def population_count(cycle: GapCycle, target: Constellation | int) -> int:
         mask[: m - k] &= gaps[k:] == g
         mask[m - k :] &= gaps[:k] == g
     return int(np.count_nonzero(mask))
-
-
-def count_gap(cycle: GapCycle, g: int) -> int:
-    """Number of indices whose gap equals g, over the whole cycle."""
-    return population_count(cycle, g)
-
-
-def count_constellation(cycle: GapCycle, s: Constellation) -> int:
-    """Number of cyclic start positions where the next gaps equal s exactly."""
-    return population_count(cycle, s)
 
 
 @dataclass

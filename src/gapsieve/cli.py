@@ -9,14 +9,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import census as census_mod
 from . import cycle as cycle_mod
 from . import dynsys, polignac, refvalues, survival
 from .census import Constellation
-from .primal import CapacityError, phi_i, primes_in
+from .primal import CapacityError, primes_in
 
 CACHE_ENV = "GAPSIEVE_CACHE_DIR"
 PRINT_LIMIT = 100_000  # refuse to dump larger cycles to stdout
@@ -114,21 +113,23 @@ def cmd_model(args) -> int:
     pk = args.to_prime
     if pk <= p0:
         raise ValueError(f"--to-prime {pk} must exceed the cycle stage {p0}")
-    result = census_mod.census_for(cycle, args.gap)
-    v = dynsys.PopulationVector.from_census(result)
-    ref = phi_i(2, cycle.modulus)
+    fit = dynsys.validity(args.gap, p0)
+    if fit is not dynsys.Validity.FULL:
+        raise ValueError(
+            f"gap {args.gap} is {fit.value} at stage {p0}; the model is exact only "
+            "for spans below twice the next stage prime"
+        )
+    v = dynsys.PopulationVector.from_census(census_mod.census_for(cycle, args.gap))
     lines = ["# population model: raw counts and ratios to the gap 2", "prime,j,raw_count,ratio"]
 
-    def emit(p: int, vec: dynsys.PopulationVector, ref_val: int) -> None:
-        for i, j in enumerate(range(vec.j1, vec.max_length + 1)):
-            raw = vec.entries[i]
-            lines.append(f"{p},{j},{raw},{Fraction(raw, ref_val)}")
+    def emit(p: int, vec: dynsys.PopulationVector) -> None:
+        for j, raw, ratio in zip(range(vec.j1, vec.max_length + 1), vec.entries, vec.ratios):
+            lines.append(f"{p},{j},{raw},{ratio}")
 
-    emit(p0, v, ref)
+    emit(p0, v)
     for p in primes_in(p0 + 1, pk):
         v = dynsys.step(v, p)
-        ref *= p - 2
-        emit(p, v, ref)
+        emit(p, v)
     text = "\n".join(lines) + "\n"
     if args.csv:
         _write_text(args.csv, text)
@@ -148,8 +149,7 @@ def cmd_asymptotic(args) -> int:
                 f"constellation {s} is not valid at stage {cycle.prime}; "
                 "an interval sum has a larger prime factor"
             )
-        result = census_mod.census_for(cycle, s)
-        v = dynsys.normalize(dynsys.PopulationVector.from_census(result), cycle.modulus)
+        v = dynsys.PopulationVector.from_census(census_mod.census_for(cycle, s))
         print(dynsys.asymptotic_ratio(v))
         return 0
     if args.gap is None:
@@ -184,14 +184,8 @@ def cmd_ajk(args) -> int:
 
 def cmd_crossover(args) -> int:
     cycle = cycle_mod.read_cache(args.cycle)
-    va = dynsys.normalize(
-        dynsys.PopulationVector.from_census(census_mod.census_for(cycle, args.gap_a)),
-        cycle.modulus,
-    )
-    vb = dynsys.normalize(
-        dynsys.PopulationVector.from_census(census_mod.census_for(cycle, args.gap_b)),
-        cycle.modulus,
-    )
+    va = dynsys.PopulationVector.from_census(census_mod.census_for(cycle, args.gap_a))
+    vb = dynsys.PopulationVector.from_census(census_mod.census_for(cycle, args.gap_b))
     result = dynsys.crossover(va, vb)
     if result is None:
         print("no crossover")
@@ -256,8 +250,7 @@ def _reproduce_table5() -> list[str]:
         cycle = load_or_build_cycle(p0)
         result = census_mod.census_for(cycle, s)
         got = result.vector()
-        v = dynsys.normalize(dynsys.PopulationVector.from_census(result), cycle.modulus)
-        w = dynsys.asymptotic_ratio(v)
+        w = dynsys.asymptotic_ratio(dynsys.PopulationVector.from_census(result))
         ok = (
             s.span == span
             and s.length == j1
@@ -329,10 +322,7 @@ def _reproduce_table3(long_run: bool) -> list[str]:
     # late-stage ratios of the gaps 6 and 30 implied by these products
     cycle = load_or_build_cycle(13)
     for g, expected_w in ((6, 1.912), (30, 1.579)):
-        v = dynsys.normalize(
-            dynsys.PopulationVector.from_census(census_mod.census_for(cycle, g)).padded(9),
-            cycle.modulus,
-        )
+        v = dynsys.PopulationVector.from_census(census_mod.census_for(cycle, g)).padded(9)
         coeffs = dynsys.polynomial_approx(v)
         w = float(coeffs[0]) + sum(
             (-1) ** m * float(coeffs[m]) * products[m + 1] for m in range(1, len(coeffs))

@@ -23,7 +23,6 @@ import numpy as np
 
 from .census import Census, Constellation, as_constellation
 from .primal import (
-    SquarefreeModulus,
     factorize,
     is_prime,
     next_prime,
@@ -35,17 +34,20 @@ from .primal import (
 
 @dataclass(frozen=True)
 class PopulationVector:
-    """Counts (raw) or ratios (normalized) of driving terms by length j1..J."""
+    """Raw counts of driving terms by length j1..J, with their reference count.
+
+    ref is phi_{j1+1} of the modulus the counts belong to: the population of
+    the gap 2 when j1 = 1.  A stage at prime p multiplies it by p - j1 - 1,
+    so entries / ref are the ratios the model is stated in.
+    """
 
     j1: int
     entries: tuple[Fraction, ...]
-    basis: str = "raw"  # "raw" | "normalized"
+    ref: int
 
     def __post_init__(self) -> None:
-        if self.j1 < 1 or not self.entries:
-            raise ValueError("need j1 >= 1 and at least one entry")
-        if self.basis not in ("raw", "normalized"):
-            raise ValueError(f"unknown basis {self.basis!r}")
+        if self.j1 < 1 or self.ref < 1 or not self.entries:
+            raise ValueError("need j1 >= 1, ref >= 1 and at least one entry")
         if any(e < 0 for e in self.entries):
             raise ValueError("negative population")
 
@@ -57,33 +59,26 @@ class PopulationVector:
     def dim(self) -> int:
         return len(self.entries)
 
+    @property
+    def ratios(self) -> tuple[Fraction, ...]:
+        return tuple(e / self.ref for e in self.entries)
+
     @classmethod
     def from_census(cls, census: Census, max_length: int | None = None) -> "PopulationVector":
         top = census.max_length if max_length is None else max_length
         entries = tuple(Fraction(census.counts.get(j, 0)) for j in range(census.j1, top + 1))
-        return cls(census.j1, entries, "raw")
+        return cls(census.j1, entries, phi_i(census.j1 + 1, census.modulus))
 
     def padded(self, max_length: int) -> "PopulationVector":
         if max_length < self.max_length:
             raise ValueError("cannot shrink a population vector")
         extra = (Fraction(0),) * (max_length - self.max_length)
-        return PopulationVector(self.j1, self.entries + extra, self.basis)
-
-
-def normalize(v: PopulationVector, modulus: SquarefreeModulus | int) -> PopulationVector:
-    """Divide raw counts by phi_{j1+1} of the modulus they were counted on.
-
-    For gaps (j1 = 1) this is the ratio to the population of the gap 2.
-    """
-    if v.basis != "raw":
-        return v
-    ref = phi_i(v.j1 + 1, modulus)
-    return PopulationVector(v.j1, tuple(e / ref for e in v.entries), "normalized")
+        return PopulationVector(self.j1, self.entries + extra, self.ref)
 
 
 @dataclass(frozen=True)
 class SystemMatrices:
-    """One stage's transfer matrix with its exact eigenstructure (raw basis)."""
+    """One stage's transfer matrix with its exact eigenstructure, on raw counts."""
 
     p: int
     j1: int
@@ -133,10 +128,8 @@ def step(v: PopulationVector, p: int) -> PopulationVector:
         x = (p - j - 1) * v.entries[i]
         if i + 1 < v.dim:
             x += (j + 1 - j1) * v.entries[i + 1]
-        if v.basis == "normalized":
-            x /= p - j1 - 1
         out.append(Fraction(x))
-    return PopulationVector(j1, tuple(out), v.basis)
+    return PopulationVector(j1, tuple(out), v.ref * (p - j1 - 1))
 
 
 def iterate(v: PopulationVector, p0: int, pk: int) -> PopulationVector:
@@ -149,29 +142,25 @@ def iterate(v: PopulationVector, p0: int, pk: int) -> PopulationVector:
 
 
 def asymptotic_ratio(v: PopulationVector) -> Fraction:
-    """Limit of the normalized population: the sum of the initial ratios.
+    """Limit of the population ratio: the sum of the initial ratios.
 
-    The first left eigenvector is all ones and its eigenvalue is 1; every
-    other mode decays, so the limit is just the entry sum.
+    The first left eigenvector is all ones and its eigenvalue is 1 on
+    ratios; every other mode decays, so the limit is just the ratio sum.
     """
-    if v.basis != "normalized":
-        raise ValueError("asymptotic ratio needs a normalized vector")
-    return sum(v.entries, Fraction(0))
+    return sum(v.entries, Fraction(0)) / v.ref
 
 
 def polynomial_approx(v: PopulationVector) -> tuple[Fraction, ...]:
-    """Coefficients c_m = (row m of L) . v for the decay polynomial.
+    """Coefficients c_m = (row m of L) . v.ratios for the decay polynomial.
 
-    The base-length population is approximately
+    The base-length ratio is approximately
     sum_m (-1)^(m+1) c_m x^(m-1) evaluated at x = the second eigenvalue
-    product; at x = 0 it is the asymptotic ratio, at x = 1 the initial value.
+    product; at x = 0 it is the asymptotic ratio, at x = 1 the initial ratio.
     """
-    if v.basis != "normalized":
-        raise ValueError("polynomial approximation needs a normalized vector")
-    d = v.dim
+    r = v.ratios
     return tuple(
-        sum((comb(j, m) * v.entries[j] for j in range(m, d)), Fraction(0))
-        for m in range(d)
+        sum((comb(j, m) * r[j] for j in range(m, len(r))), Fraction(0))
+        for m in range(len(r))
     )
 
 

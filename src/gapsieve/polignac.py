@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .census import census_for
-from .cycle import GapCycle
 from .primal import (
     PRIME_FACTOR_CAP,
     CapacityError,
@@ -29,13 +27,7 @@ from .primal import (
 
 def hl_ratio(g: int) -> Fraction:
     """Asymptotic ratio of the gap g to the gap 2: prod (q-1)/(q-2) over odd q | g."""
-    if g < 2 or g % 2 != 0:
-        raise ValueError(f"gap must be a positive even integer: {g}")
-    r = Fraction(1)
-    for q, _ in factorize(g):
-        if q > 2:
-            r *= Fraction(q - 1, q - 2)
-    return r
+    return partial_ratio(g, g)
 
 
 def partial_ratio(g: int, p: int) -> Fraction:
@@ -109,24 +101,3 @@ def repetition_weight(g: int, j1: int) -> RepetitionSpec:
 def repetition_feasible_by_divisibility(g: int, j1: int) -> bool:
     """Equivalent feasibility test: every prime up to j1+1 must divide g."""
     return all(g % p == 0 for p in primes_upto(j1 + 1))
-
-
-@dataclass
-class CrosscheckResult:
-    g: int
-    p: int
-    census_ratio: Fraction
-    expected: Fraction
-
-    @property
-    def equal(self) -> bool:
-        return self.census_ratio == self.expected
-
-
-def census_crosscheck(g: int, cycle: GapCycle) -> CrosscheckResult:
-    """Compare the censused ratio sum on a cycle against the closed form."""
-    p = cycle.prime
-    census = census_for(cycle, g)
-    ref = phi_i(2, cycle.modulus)
-    ratio = Fraction(census.total, ref)
-    return CrosscheckResult(g, p, ratio, partial_ratio(g, p))

@@ -155,9 +155,6 @@ class SquarefreeModulus:
     def largest_factor(self) -> int:
         return self.factors[-1]
 
-    def totient(self) -> int:
-        return phi_i(1, self)
-
     def __int__(self) -> int:
         return self.value
 

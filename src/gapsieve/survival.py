@@ -23,7 +23,7 @@ import numpy as np
 
 from .census import Constellation, as_constellation, population_count
 from .cycle import GapCycle
-from .primal import DEFAULT_SIEVE_BUDGET, next_prime, primes_in
+from .primal import next_prime, primes_in
 
 
 def naive_estimate(cycle: GapCycle, target: Constellation | int) -> float:
@@ -37,12 +37,7 @@ def naive_estimate(cycle: GapCycle, target: Constellation | int) -> float:
     return float(Fraction(p_next * p_next - p_next, cycle.modulus) * n)
 
 
-def actual_gap_count(
-    a: int,
-    b: int,
-    target: Constellation | int,
-    budget: int = DEFAULT_SIEVE_BUDGET,
-) -> int:
+def actual_gap_count(a: int, b: int, target: Constellation | int) -> int:
     """Occurrences of the target among consecutive prime gaps inside [a, b].
 
     The whole constellation must lie inside the interval: its first and last
@@ -54,7 +49,7 @@ def actual_gap_count(
         pattern = [1]
     else:
         pattern = list(as_constellation(target).gaps)
-    ps = primes_in(a, b, budget=budget)
+    ps = primes_in(a, b)
     if len(ps) < len(pattern) + 1:
         return 0
     diffs = [q - p for p, q in zip(ps, ps[1:])]
@@ -107,10 +102,6 @@ class AttritionStep:
     closures: int
     histogram: dict[int, int]
 
-    @property
-    def gap_total(self) -> int:
-        return sum(self.histogram.values())
-
 
 @dataclass
 class AttritionTrace:
@@ -141,8 +132,9 @@ class AttritionTrace:
 
 
 def _histogram(gaps: np.ndarray) -> dict[int, int]:
-    vals, counts = np.unique(gaps, return_counts=True)
-    return {int(v): int(c) for v, c in zip(vals, counts)}
+    counts = np.bincount(gaps)
+    sizes = np.flatnonzero(counts)
+    return dict(zip(sizes.tolist(), counts[sizes].tolist()))
 
 
 def attrition(

@@ -81,6 +81,21 @@ def test_model(cycle13, capsys):
     assert "17,1,26630,5326/4455" in out
 
 
+def test_model_rejects_target_not_fully_valid(tmp_path, capsys):
+    # gap 30 spans more than 2 * 11, so stepping the stage-7 census would
+    # print stage-13 counts that contradict the stage-13 census
+    path = tmp_path / "g7.gapc"
+    assert main(["build", "--prime", "7", "--out", str(path)]) == 0
+    capsys.readouterr()
+    csv = tmp_path / "model.csv"
+    assert main(["model", "--cycle", str(path), "--gap", "30", "--to-prime", "13",
+                 "--csv", str(csv)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "asymptotic-only at stage 7" in captured.err
+    assert not csv.exists()
+
+
 def test_asymptotic_gap(capsys):
     assert main(["asymptotic", "--gap", "30"]) == 0
     assert capsys.readouterr().out.strip() == "8/3"

@@ -12,16 +12,15 @@ from gapsieve.dynsys import (
     eigenvalue_products,
     evaluate_polynomial,
     iterate,
-    normalize,
     polynomial_approx,
     step,
     validity,
 )
-from gapsieve.primal import primes_upto
+from gapsieve.primal import phi_i, primes_upto
 
 
-def vec(entries, j1=1, basis="raw"):
-    return PopulationVector(j1, tuple(F(e) for e in entries), basis)
+def vec(entries, j1=1, ref=1):
+    return PopulationVector(j1, tuple(F(e) for e in entries), ref)
 
 
 def matmul(a, b):
@@ -71,54 +70,65 @@ def test_iterate_matches_census(g5, g7, g11, g13):
             assert [int(e) for e in v.entries] == expected
 
 
+@pytest.mark.parametrize(
+    ("target", "pk"),
+    [(6, 13), (Constellation((2, 10, 2)), 13), (Constellation((4, 2, 4, 2, 4)), 11)],
+    ids=["j1=1", "j1=3", "j1=5"],
+)
+def test_iterated_ratios_match_later_census(g7, g11, g13, target, pk):
+    # j1 = 1, 3 and 5: the reference count grows by p - j1 - 1 per stage
+    v = iterate(PopulationVector.from_census(census_for(g7, target)), 7, pk)
+    later = {11: g11, 13: g13}[pk]
+    expected = PopulationVector.from_census(census_for(later, target), v.max_length)
+    assert v.ratios == expected.ratios
+    assert v.ref == expected.ref
+
+
 def test_iterate_single_step_equals_step():
     v = vec([2, 4])
     assert iterate(v, 5, 7).entries == step(v, 7).entries
 
 
 def test_normalized_step_keeps_entry_sum():
-    # the all-ones left functional is invariant in the normalized basis
-    v = normalize(vec([1690, 1280, 0, 0, 0, 0, 0, 0]), 30030)
-    total = sum(v.entries)
+    # the all-ones left functional is invariant on the ratios
+    v = vec([1690, 1280, 0, 0, 0, 0, 0, 0], ref=phi_i(2, 30030))
+    total = sum(v.ratios)
     w = step(v, 17)
-    assert sum(w.entries) == total
+    assert sum(w.ratios) == total
 
 
 def test_asymptotic_ratios_from_stage_5(g5):
     cases = {4: F(1), 6: F(2), 8: F(1), 10: F(4, 3), 12: F(2)}
     for g, expected in cases.items():
-        v = normalize(PopulationVector.from_census(census_for(g5, g)), 30)
+        v = PopulationVector.from_census(census_for(g5, g))
         assert asymptotic_ratio(v) == expected
 
 
 def test_asymptotic_ratio_constellation(g13):
-    v = normalize(
-        PopulationVector.from_census(census_for(g13, Constellation((2, 10, 2, 10, 2)))),
-        30030,
-    )
+    v = PopulationVector.from_census(census_for(g13, Constellation((2, 10, 2, 10, 2))))
     assert asymptotic_ratio(v) == F(144, 35)
 
 
 def test_asymptotic_ratio_stable_under_stage_refinement(g5, g7, g11):
     # recomputing the initial conditions at a later valid stage gives the same limit
     values = []
-    for cyc, modulus in ((g5, 30), (g7, 210), (g11, 2310)):
-        v = normalize(PopulationVector.from_census(census_for(cyc, 6)), modulus)
+    for cyc in (g5, g7, g11):
+        v = PopulationVector.from_census(census_for(cyc, 6))
         values.append(asymptotic_ratio(v))
     assert values[0] == values[1] == values[2] == F(2)
 
 
 def test_polynomial_approx(g5):
     # a gap with no driving terms keeps ratio 1: constant polynomial
-    v4 = normalize(PopulationVector.from_census(census_for(g5, 4)).padded(4), 30)
+    v4 = PopulationVector.from_census(census_for(g5, 4)).padded(4)
     coeffs = polynomial_approx(v4)
     assert coeffs == (F(1), F(0), F(0), F(0))
     assert evaluate_polynomial(coeffs, F(1, 2)) == F(1)
-    v6 = normalize(PopulationVector.from_census(census_for(g5, 6)), 30)
+    v6 = PopulationVector.from_census(census_for(g5, 6))
     c6 = polynomial_approx(v6)
     assert c6[0] == F(2)
     # x = 1 telescopes back to the stage-5 value; x = 0 is the limit
-    assert evaluate_polynomial(c6, F(1)) == v6.entries[0]
+    assert evaluate_polynomial(c6, F(1)) == v6.ratios[0]
     assert evaluate_polynomial(c6, F(0)) == F(2)
 
 
@@ -186,8 +196,8 @@ def test_eigenvalue_products_monotone_and_bounded():
 
 
 def test_crossover_30_vs_6(g13):
-    va = normalize(PopulationVector.from_census(census_for(g13, 30)), 30030)
-    vb = normalize(PopulationVector.from_census(census_for(g13, 6)), 30030)
+    va = PopulationVector.from_census(census_for(g13, 30))
+    vb = PopulationVector.from_census(census_for(g13, 6))
     result = crossover(va, vb)
     assert result is not None
     assert abs(result.root - 0.06275) <= 0.0005
@@ -206,15 +216,15 @@ def test_approximate_prime_for_decay():
 
 
 def test_crossover_identical_vectors_is_none(g13):
-    v = normalize(PopulationVector.from_census(census_for(g13, 6)), 30030)
+    v = PopulationVector.from_census(census_for(g13, 6))
     assert crossover(v, v) is None
 
 
 def test_crossover_6_vs_2_exact_root(g5):
     # the difference polynomial is 1 - (4/3) x: the gap 6 overtakes the
     # gap 2 exactly when the second eigenvalue product drops below 3/4
-    va = normalize(PopulationVector.from_census(census_for(g5, 6)), 30)
-    vb = normalize(PopulationVector.from_census(census_for(g5, 2)).padded(2), 30)
+    va = PopulationVector.from_census(census_for(g5, 6))
+    vb = PopulationVector.from_census(census_for(g5, 2)).padded(2)
     result = crossover(va, vb)
     assert result is not None
     assert abs(result.root - 0.75) <= 1e-6

@@ -4,9 +4,9 @@ import pytest
 
 from gapsieve.census import census_for
 from gapsieve.cycle import build_primorial_cycle
+from gapsieve.dynsys import PopulationVector, asymptotic_ratio
 from gapsieve.primal import factorize
 from gapsieve.polignac import (
-    census_crosscheck,
     hl_ratio,
     partial_ratio,
     repetition_feasible_by_divisibility,
@@ -96,9 +96,7 @@ def test_feasibility_definitions_agree():
 
 
 def test_census_crosscheck(g7, g13):
-    r = census_crosscheck(6, g7)
-    assert r.census_ratio == F(2) == r.expected
-    r30 = census_crosscheck(30, g13)
-    assert r30.census_ratio == F(8, 3) == r30.expected
-    r2 = census_crosscheck(2, g7)
-    assert r2.census_ratio == F(1) == r2.expected
+    # the censused ratio sum on a cycle equals the closed form at its stage
+    for g, cycle, expected in ((6, g7, F(2)), (30, g13, F(8, 3)), (2, g7, F(1))):
+        ratio = asymptotic_ratio(PopulationVector.from_census(census_for(cycle, g)))
+        assert ratio == expected == partial_ratio(g, cycle.prime)

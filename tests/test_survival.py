@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gapsieve.census import Constellation
-from gapsieve.primal import CapacityError, primes_in
+from gapsieve.primal import DEFAULT_SIEVE_BUDGET, CapacityError, primes_in
 from gapsieve.refvalues import ATTRITION_7_FOLDED
 from gapsieve.survival import (
     actual_gap_count,
@@ -53,7 +53,7 @@ def test_actual_gap_count_degenerate_odd_gap():
 
 def test_actual_gap_count_budget():
     with pytest.raises(CapacityError):
-        actual_gap_count(2, 10**7, 2, budget=10**6)
+        actual_gap_count(2, DEFAULT_SIEVE_BUDGET + 1, 2)
 
 
 def test_error_report_rows_and_csv(g13):
