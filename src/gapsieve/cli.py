@@ -21,23 +21,16 @@ CACHE_ENV = "GAPSIEVE_CACHE_DIR"
 PRINT_LIMIT = 100_000  # refuse to dump larger cycles to stdout
 
 
-def _cache_dir() -> Path | None:
-    d = os.environ.get(CACHE_ENV)
-    return Path(d) if d else None
-
-
 def load_or_build_cycle(p: int) -> cycle_mod.GapCycle:
-    """Build the stage-p cycle, round-tripping through the cache dir if set."""
-    d = _cache_dir()
-    if d is not None:
-        d.mkdir(parents=True, exist_ok=True)
-        path = d / f"g{p}.gapc"
-        if path.exists():
-            return cycle_mod.read_cache(str(path))
-        cycle = cycle_mod.build_primorial_cycle(p)
-        cycle_mod.write_cache(str(path), cycle)
-        return cycle
-    return cycle_mod.build_primorial_cycle(p)
+    """The stage-p cycle, read from or streamed into the cache dir if one is set."""
+    d = os.environ.get(CACHE_ENV)
+    if not d:
+        return cycle_mod.build_primorial_cycle(p)
+    path = Path(d) / f"g{p}.gapc"
+    if path.exists():
+        return cycle_mod.read_cache(str(path))
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return cycle_mod.build_primorial_cycle_streaming(p, str(path))
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -47,17 +40,15 @@ def _write_text(path: str | None, text: str) -> None:
         Path(path).write_text(text)
 
 
-def _parse_targets(gaps: list[int] | None, constellation: str | None):
-    targets: list[Constellation | int] = []
-    if gaps:
-        for g in gaps:
-            Constellation((g,))  # validates even and positive
-            targets.append(g)
-    if constellation:
-        targets.append(Constellation.parse(constellation))
-    if not targets:
-        raise ValueError("no targets: pass --gap and/or --constellation")
-    return targets
+def _model_vector(cycle: cycle_mod.GapCycle, gap: int) -> dynsys.PopulationVector:
+    """The gap's population vector, refused where the model is not exact."""
+    fit = dynsys.validity(gap, cycle.prime)
+    if fit is not dynsys.Validity.FULL:
+        raise ValueError(
+            f"gap {gap} is {fit.value} at stage {cycle.prime}; the model is exact only "
+            "for spans below twice the next stage prime"
+        )
+    return dynsys.PopulationVector.from_census(census_mod.census_for(cycle, gap))
 
 
 def cmd_build(args) -> int:
@@ -83,9 +74,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_census(args) -> int:
+    if bool(args.gap) == bool(args.constellation):
+        raise ValueError("pass either --gap G (repeatable) or --constellation LIST")
+    s = Constellation.parse(args.constellation) if args.constellation else None
+    length = s.length if s else 1
+    if args.max_len is not None and args.max_len < length:
+        raise ValueError(f"--max-len {args.max_len} is below the target length {length}")
     cycle = cycle_mod.read_cache(args.cycle)
-    if args.constellation:
-        s = Constellation.parse(args.constellation)
+    if s:
         result = census_mod.census_for(cycle, s)
         counts = result.vector(args.max_len or result.max_length)
         print(f"{s}," + ",".join(str(c) for c in counts))
@@ -113,13 +109,7 @@ def cmd_model(args) -> int:
     pk = args.to_prime
     if pk <= p0:
         raise ValueError(f"--to-prime {pk} must exceed the cycle stage {p0}")
-    fit = dynsys.validity(args.gap, p0)
-    if fit is not dynsys.Validity.FULL:
-        raise ValueError(
-            f"gap {args.gap} is {fit.value} at stage {p0}; the model is exact only "
-            "for spans below twice the next stage prime"
-        )
-    v = dynsys.PopulationVector.from_census(census_mod.census_for(cycle, args.gap))
+    v = _model_vector(cycle, args.gap)
     lines = ["# population model: raw counts and ratios to the gap 2", "prime,j,raw_count,ratio"]
 
     def emit(p: int, vec: dynsys.PopulationVector) -> None:
@@ -130,11 +120,7 @@ def cmd_model(args) -> int:
     for p in primes_in(p0 + 1, pk):
         v = dynsys.step(v, p)
         emit(p, v)
-    text = "\n".join(lines) + "\n"
-    if args.csv:
-        _write_text(args.csv, text)
-    else:
-        sys.stdout.write(text)
+    _write_text(args.csv, "\n".join(lines) + "\n")
     return 0
 
 
@@ -154,11 +140,7 @@ def cmd_asymptotic(args) -> int:
         return 0
     if args.gap is None:
         raise ValueError("pass --gap G or --constellation LIST")
-    g = args.gap
-    if args.at_prime:
-        print(polignac.partial_ratio(g, args.at_prime))
-    else:
-        print(polignac.hl_ratio(g))
+    print(polignac.partial_ratio(args.gap, args.at_prime or args.gap))
     return 0
 
 
@@ -184,9 +166,7 @@ def cmd_ajk(args) -> int:
 
 def cmd_crossover(args) -> int:
     cycle = cycle_mod.read_cache(args.cycle)
-    va = dynsys.PopulationVector.from_census(census_mod.census_for(cycle, args.gap_a))
-    vb = dynsys.PopulationVector.from_census(census_mod.census_for(cycle, args.gap_b))
-    result = dynsys.crossover(va, vb)
+    result = dynsys.crossover(_model_vector(cycle, args.gap_a), _model_vector(cycle, args.gap_b))
     if result is None:
         print("no crossover")
         return 0
@@ -213,38 +193,36 @@ def cmd_attrition(args) -> int:
 
 
 def cmd_naive_error(args) -> int:
-    targets = _parse_targets(args.gaps, args.constellation)
-    stages = [p for p in primes_in(args.pmin, args.pmax)]
-    cycles = []
-    for p in stages:
-        if p > 23 and not args.stream_ok:
-            raise CapacityError(f"stage {p} cycle needs streaming; rerun with --stream-ok")
-        cycles.append(load_or_build_cycle(p))
-    rows = survival.error_report(cycles, targets)
-    _write_text(args.csv, survival.error_report_csv(rows))
+    targets = [Constellation((g,)) for g in args.gaps]
+    if args.constellation:
+        targets.append(Constellation.parse(args.constellation))
+    if not targets:
+        raise ValueError("no targets: pass --gaps and/or --constellation")
+    cycles = [load_or_build_cycle(p) for p in primes_in(args.pmin, args.pmax)]
+    _write_text(args.csv, survival.error_report_csv(survival.error_report(cycles, targets)))
     return 0
+
+
+def _verdicts(checks: list[tuple[str, bool]]) -> list[str]:
+    return [f"{name}: {'PASS' if ok else 'FAIL'}" for name, ok in checks]
 
 
 def _reproduce_table2() -> list[str]:
     cycle = load_or_build_cycle(13)
     lines = []
-    ok_all = True
     for g, expected in refvalues.GAP_CENSUS_13.items():
         got = census_mod.census_for(cycle, g).vector()
         got = got + [0] * (len(expected) - len(got))
         ok = got == expected
         w = polignac.hl_ratio(g)
         ok_w = w == refvalues.GAP_W_INFINITY[g]
-        ok_all = ok_all and ok and ok_w
         lines.append(f"gap {g}: counts {'PASS' if ok else 'FAIL ' + str(got)}, "
                      f"w_inf {'PASS' if ok_w else 'FAIL ' + str(w)}")
-    lines.append(f"table2: {'PASS' if ok_all else 'FAIL'}")
     return lines
 
 
 def _reproduce_table5() -> list[str]:
     lines = []
-    ok_all = True
     for text, span, j1, top, p0, counts, w_inf in refvalues.CONSTELLATION_CASES:
         s = Constellation.parse(text)
         cycle = load_or_build_cycle(p0)
@@ -258,9 +236,7 @@ def _reproduce_table5() -> list[str]:
             and got == counts
             and w == w_inf
         )
-        ok_all = ok_all and ok
         lines.append(f"constellation {text}: {'PASS' if ok else f'FAIL (counts {got}, w {w})'}")
-    lines.append(f"table5: {'PASS' if ok_all else 'FAIL'}")
     return lines
 
 
@@ -269,7 +245,7 @@ def _reproduce_fig5() -> list[str]:
     trace = survival.attrition(cycle)
     figure_primes = [q for q in trace.sieve_primes if q != refvalues.ATTRITION_13_OMITTED_PRIME]
     figure_trace = survival.attrition(cycle, sieve_primes=figure_primes)
-    checks = [
+    return _verdicts([
         ("initial gap-2 count 1485", trace.initial_histogram.get(2) == 1485),
         ("initial max gap 22", max(trace.initial_histogram) == refvalues.ATTRITION_13_INITIAL_MAX_GAP),
         (
@@ -286,66 +262,58 @@ def _reproduce_fig5() -> list[str]:
             "gap 52 first created at stage 73",
             trace.first_stage_with_gap(52) == refvalues.ATTRITION_13_MAX_GAP_FIRST_STAGE,
         ),
-    ]
-    lines = [f"{name}: {'PASS' if ok else 'FAIL'}" for name, ok in checks]
-    lines.append(f"fig5: {'PASS' if all(ok for _, ok in checks) else 'FAIL'}")
-    return lines
+    ])
 
 
 def _reproduce_g7() -> list[str]:
     cycle = load_or_build_cycle(7)
-    built_ok = cycle.gaps.astype(int).tolist() == refvalues.CYCLE_7_GAPS
     trace = survival.attrition(cycle)
     folded = survival.fold_confirmed_front(trace).astype(int).tolist()
-    fold_ok = folded == refvalues.ATTRITION_7_FOLDED
-    tail_ok = trace.final_gaps[-5:].astype(int).tolist() == [10, 2, 4, 2, 12]
-    lines = [
-        f"stage-7 cycle: {'PASS' if built_ok else 'FAIL'}",
-        f"attrition folded sequence: {'PASS' if fold_ok else 'FAIL'}",
-        f"attrition tail 10,2,4,2,12: {'PASS' if tail_ok else 'FAIL'}",
-        f"g7-attrition: {'PASS' if built_ok and fold_ok and tail_ok else 'FAIL'}",
-    ]
-    return lines
+    return _verdicts([
+        ("stage-7 cycle", cycle.gaps.astype(int).tolist() == refvalues.CYCLE_7_GAPS),
+        ("attrition folded sequence", folded == refvalues.ATTRITION_7_FOLDED),
+        ("attrition tail 10,2,4,2,12",
+         trace.final_gaps[-5:].astype(int).tolist() == [10, 2, 4, 2, 12]),
+    ])
 
 
-def _reproduce_table3(long_run: bool) -> list[str]:
-    if not long_run:
-        raise ValueError("table3 sieves to ~1e12 (hours); rerun with --long")
+def _reproduce_table3() -> list[str]:
     products = dynsys.eigenvalue_products(13, refvalues.EIGENVALUE_PRODUCTS_PK, 9)
     lines = []
-    ok_all = True
     for j, expected in refvalues.EIGENVALUE_PRODUCTS_1E12.items():
         got = products[j]
         ok = abs(got - expected) <= 1e-11
-        ok_all = ok_all and ok
         lines.append(f"a_{j}: {got:.14f} vs {expected:.14f} {'PASS' if ok else 'FAIL'}")
     # late-stage ratios of the gaps 6 and 30 implied by these products
     cycle = load_or_build_cycle(13)
     for g, expected_w in ((6, 1.912), (30, 1.579)):
-        v = dynsys.PopulationVector.from_census(census_mod.census_for(cycle, g)).padded(9)
-        coeffs = dynsys.polynomial_approx(v)
+        coeffs = dynsys.polynomial_approx(_model_vector(cycle, g).padded(9))
         w = float(coeffs[0]) + sum(
             (-1) ** m * float(coeffs[m]) * products[m + 1] for m in range(1, len(coeffs))
         )
         ok = abs(w - expected_w) <= 5e-3
-        ok_all = ok_all and ok
         lines.append(f"w_{g} at 1e12: {w:.3f} vs {expected_w} {'PASS' if ok else 'FAIL'}")
-    lines.append(f"table3: {'PASS' if ok_all else 'FAIL'}")
     return lines
 
 
+REPRODUCE = {
+    "table2": _reproduce_table2,
+    "table3": _reproduce_table3,
+    "table5": _reproduce_table5,
+    "fig5": _reproduce_fig5,
+    "g7-attrition": _reproduce_g7,
+}
+
+
 def cmd_reproduce(args) -> int:
-    table = {
-        "table2": lambda: _reproduce_table2(),
-        "table3": lambda: _reproduce_table3(args.long),
-        "table5": lambda: _reproduce_table5(),
-        "fig5": lambda: _reproduce_fig5(),
-        "g7-attrition": lambda: _reproduce_g7(),
-    }
-    lines = table[args.target]()
-    for line in lines:
-        print(line)
-    return 0 if not any("FAIL" in line for line in lines) else 1
+    """Print the target's check lines, then one verdict line from their FAIL scan."""
+    if args.target == "table3" and not args.long:
+        raise ValueError("table3 sieves to ~1e12 (hours); rerun with --long")
+    lines = REPRODUCE[args.target]()
+    ok = not any("FAIL" in line for line in lines)
+    lines.append(f"{args.target}: {'PASS' if ok else 'FAIL'}")
+    print("\n".join(lines))
+    return 0 if ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -419,12 +387,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gaps", type=int, nargs="*", default=[], metavar="G")
     p.add_argument("--constellation", metavar="LIST")
     p.add_argument("--csv", required=True, metavar="OUT")
-    p.add_argument("--stream-ok", action="store_true",
-                   help="allow stages past 23 (large builds)")
     p.set_defaults(func=cmd_naive_error)
 
     p = sub.add_parser("reproduce", help="check computed values against reference tables")
-    p.add_argument("target", choices=["table2", "table3", "table5", "fig5", "g7-attrition"])
+    p.add_argument("target", choices=list(REPRODUCE))
     p.add_argument("--long", action="store_true", help="allow multi-hour targets")
     p.set_defaults(func=cmd_reproduce)
 
@@ -436,10 +402,10 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except CapacityError as exc:
+    except (CapacityError, MemoryError) as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, cycle_mod.CacheFormatError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:  # CacheFormatError and FileNotFoundError too
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -7,8 +7,8 @@ The matrix factors exactly as R * Lambda * L with Pascal-triangular R and L
 independent of p, so products across stages stay diagonal; asymptotics drop
 out of the first left eigenvector, which is all ones.
 
-Everything is exact rational except the long eigenvalue products, which
-accumulate in log space.
+Counts are exact integers and ratios exact rationals; only the long
+eigenvalue products accumulate in log space.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ class PopulationVector:
     """
 
     j1: int
-    entries: tuple[Fraction, ...]
+    entries: tuple[int, ...]
     ref: int
 
     def __post_init__(self) -> None:
@@ -61,18 +61,17 @@ class PopulationVector:
 
     @property
     def ratios(self) -> tuple[Fraction, ...]:
-        return tuple(e / self.ref for e in self.entries)
+        return tuple(Fraction(e, self.ref) for e in self.entries)
 
     @classmethod
     def from_census(cls, census: Census, max_length: int | None = None) -> "PopulationVector":
         top = census.max_length if max_length is None else max_length
-        entries = tuple(Fraction(census.counts.get(j, 0)) for j in range(census.j1, top + 1))
-        return cls(census.j1, entries, phi_i(census.j1 + 1, census.modulus))
+        return cls(census.j1, tuple(census.vector(top)), phi_i(census.j1 + 1, census.modulus))
 
     def padded(self, max_length: int) -> "PopulationVector":
         if max_length < self.max_length:
             raise ValueError("cannot shrink a population vector")
-        extra = (Fraction(0),) * (max_length - self.max_length)
+        extra = (0,) * (max_length - self.max_length)
         return PopulationVector(self.j1, self.entries + extra, self.ref)
 
 
@@ -83,10 +82,10 @@ class SystemMatrices:
     p: int
     j1: int
     max_length: int
-    M: tuple[tuple[Fraction, ...], ...]
+    M: tuple[tuple[int, ...], ...]
     R: tuple[tuple[int, ...], ...]
     L: tuple[tuple[int, ...], ...]
-    eigenvalues: tuple[Fraction, ...]
+    eigenvalues: tuple[int, ...]
 
     @property
     def dim(self) -> int:
@@ -100,17 +99,17 @@ def eigendecompose(p: int, j1: int, max_length: int) -> SystemMatrices:
     if p <= max_length + 1:
         raise ValueError(f"stage prime {p} must exceed max length {max_length} + 1")
     d = max_length - j1 + 1
-    M = [[Fraction(0)] * d for _ in range(d)]
+    M = [[0] * d for _ in range(d)]
     for i, j in enumerate(range(j1, max_length + 1)):
-        M[i][i] = Fraction(p - j - 1)
+        M[i][i] = p - j - 1
         if i + 1 < d:
-            M[i][i + 1] = Fraction(j + 1 - j1)
+            M[i][i + 1] = j + 1 - j1
     R = tuple(
         tuple((-1) ** (i + j) * comb(j, i) if i <= j else 0 for j in range(d))
         for i in range(d)
     )
     L = tuple(tuple(comb(j, i) if i <= j else 0 for j in range(d)) for i in range(d))
-    eig = tuple(Fraction(p - j - 1) for j in range(j1, max_length + 1))
+    eig = tuple(p - j - 1 for j in range(j1, max_length + 1))
     return SystemMatrices(p, j1, max_length, tuple(tuple(r) for r in M), R, L, eig)
 
 
@@ -128,7 +127,7 @@ def step(v: PopulationVector, p: int) -> PopulationVector:
         x = (p - j - 1) * v.entries[i]
         if i + 1 < v.dim:
             x += (j + 1 - j1) * v.entries[i + 1]
-        out.append(Fraction(x))
+        out.append(x)
     return PopulationVector(j1, tuple(out), v.ref * (p - j1 - 1))
 
 
@@ -147,7 +146,7 @@ def asymptotic_ratio(v: PopulationVector) -> Fraction:
     The first left eigenvector is all ones and its eigenvalue is 1 on
     ratios; every other mode decays, so the limit is just the ratio sum.
     """
-    return sum(v.entries, Fraction(0)) / v.ref
+    return Fraction(sum(v.entries), v.ref)
 
 
 def polynomial_approx(v: PopulationVector) -> tuple[Fraction, ...]:

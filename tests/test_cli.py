@@ -1,14 +1,19 @@
 import pytest
 
+from gapsieve import cycle as cycle_mod
 from gapsieve.cli import main
 from gapsieve.cycle import build_primorial_cycle, read_cache, write_cache
 
 
+def built(tmp_path, prime):
+    path = tmp_path / f"g{prime}.gapc"
+    assert main(["build", "--prime", str(prime), "--out", str(path)]) == 0
+    return str(path)
+
+
 @pytest.fixture
 def cycle13(tmp_path):
-    path = tmp_path / "g13.gapc"
-    assert main(["build", "--prime", "13", "--out", str(path)]) == 0
-    return str(path)
+    return built(tmp_path, 13)
 
 
 def test_build_prints_compact(capsys):
@@ -46,6 +51,41 @@ def test_verify_missing_file(tmp_path, capsys):
     assert main(["verify", "--cycle", str(tmp_path / "none.gapc")]) == 1
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["verify"], ["census", "--gap", "2"], ["model", "--gap", "2", "--to-prime", "17"],
+     ["crossover", "--gap-a", "2", "--gap-b", "4"], ["attrition"]],
+    ids=lambda c: c[0],
+)
+@pytest.mark.parametrize("where", ["directory", "through-file"])
+def test_unreadable_cycle_path_exits_1(tmp_path, capsys, command, where):
+    (tmp_path / "file").write_text("not a directory\n")
+    path = tmp_path if where == "directory" else tmp_path / "file" / "g13.gapc"
+    assert main([*command, "--cycle", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["build", "--prime", "31"],
+     ["naive-error", "--pmin", "29", "--pmax", "29", "--gaps", "2", "--csv", "-"]],
+    ids=lambda a: a[0],
+)
+def test_memory_error_exits_2(monkeypatch, capsys, argv):
+    # naive-error builds past stage 23 like build does, with no opt-in flag
+    def out_of_memory(p):
+        raise MemoryError(f"Unable to allocate the stage-{p} cycle")
+
+    monkeypatch.delenv("GAPSIEVE_CACHE_DIR", raising=False)
+    monkeypatch.setattr(cycle_mod, "build_primorial_cycle", out_of_memory)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"capacity error: Unable to allocate the stage-{argv[2]} cycle\n"
+
+
 def test_census_row(cycle13, capsys):
     assert main(["census", "--cycle", cycle13, "--gap", "16", "--max-len", "9"]) == 0
     assert capsys.readouterr().out.strip() == "16,12,252,750,436,35"
@@ -71,6 +111,23 @@ def test_census_determinism(cycle13, tmp_path):
 def test_census_constellation(cycle13, capsys):
     assert main(["census", "--cycle", cycle13, "--constellation", "2,10,2,10,2"]) == 0
     assert capsys.readouterr().out.strip() == "2,10,2,10,2,52,44,48"
+    assert main(["census", "--cycle", cycle13, "--constellation", "2,10,2,10,2",
+                 "--max-len", "5"]) == 0
+    assert capsys.readouterr().out.strip() == "2,10,2,10,2,52"
+
+
+@pytest.mark.parametrize(
+    "target",
+    [[], ["--gap", "6", "--constellation", "2,10,2"], ["--gap", "6", "--max-len", "0"],
+     ["--constellation", "2,10,2", "--max-len", "1"],
+     ["--constellation", "2,10,2", "--max-len", "2"]],
+    ids=["none", "gap-and-constellation", "gap-max-len-0", "max-len-1", "max-len-2"],
+)
+def test_census_rejects_bad_target(cycle13, capsys, target):
+    assert main(["census", "--cycle", cycle13, *target]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def test_model(cycle13, capsys):
@@ -84,11 +141,10 @@ def test_model(cycle13, capsys):
 def test_model_rejects_target_not_fully_valid(tmp_path, capsys):
     # gap 30 spans more than 2 * 11, so stepping the stage-7 census would
     # print stage-13 counts that contradict the stage-13 census
-    path = tmp_path / "g7.gapc"
-    assert main(["build", "--prime", "7", "--out", str(path)]) == 0
+    path = built(tmp_path, 7)
     capsys.readouterr()
     csv = tmp_path / "model.csv"
-    assert main(["model", "--cycle", str(path), "--gap", "30", "--to-prime", "13",
+    assert main(["model", "--cycle", path, "--gap", "30", "--to-prime", "13",
                  "--csv", str(csv)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -127,7 +183,22 @@ def test_ajk(capsys):
 def test_crossover(cycle13, capsys):
     assert main(["crossover", "--gap-a", "30", "--gap-b", "6", "--cycle", cycle13]) == 0
     out = capsys.readouterr().out
-    assert out.startswith("a2* = 0.062")
+    assert out == "a2* = 0.062893\n"
+
+
+@pytest.mark.parametrize("prime, gap_a, gap_b", [(7, 30, 6), (13, 210, 30)])
+def test_crossover_rejects_target_not_fully_valid(tmp_path, capsys, prime, gap_a, gap_b):
+    # the decay polynomial is the model's, so it is refused where model is
+    path = built(tmp_path, prime)
+    capsys.readouterr()
+    assert main(["crossover", "--gap-a", str(gap_a), "--gap-b", str(gap_b),
+                 "--cycle", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: gap {gap_a} is asymptotic-only at stage {prime}; the model is exact "
+        "only for spans below twice the next stage prime\n"
+    )
 
 
 def test_attrition_cli(cycle13, tmp_path, capsys):
@@ -140,11 +211,10 @@ def test_attrition_cli(cycle13, tmp_path, capsys):
 
 
 def test_attrition_cli_without_sieving_primes(tmp_path, capsys):
-    path = tmp_path / "g3.gapc"
-    assert main(["build", "--prime", "3", "--out", str(path)]) == 0
+    path = built(tmp_path, 3)
     capsys.readouterr()
     out = tmp_path / "attr.csv"
-    assert main(["attrition", "--cycle", str(path), "--csv", str(out)]) == 0
+    assert main(["attrition", "--cycle", path, "--csv", str(out)]) == 0
     text = capsys.readouterr().out
     assert text.startswith("no sieving primes: ")
     assert "2 gaps -> 2 gaps" in text

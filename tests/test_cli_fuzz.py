@@ -1,0 +1,120 @@
+"""Random argv over every subcommand: main() returns 0, 1 or 2 or argparse exits.
+
+Any other exception is a traceback the exit-code contract forbids.  Paths are
+drawn from a stage-7 and a stage-13 cache, a missing file, a directory and a
+path through a regular file; stages stay <= 17 and prime bounds <= 1000 so
+each run is small.  ``reproduce table3 --long`` sieves for hours and is never
+drawn.
+"""
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from gapsieve.cli import main
+
+
+@pytest.fixture(scope="module")
+def paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    for p in (7, 13):
+        assert main(["build", "--prime", str(p), "--out", str(root / f"g{p}.gapc")]) == 0
+    (root / "dir").mkdir()
+    (root / "file").write_text("not a directory\n")
+    bad = [str(root / "dir"), str(root / "file" / "x"), str(root / "missing.gapc")]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("GAPSIEVE_CACHE_DIR", str(root / "cache"))
+        yield {
+            "cycle": [str(root / "g7.gapc"), str(root / "g13.gapc"), *bad],
+            "out": [str(root / "out.txt"), *bad],
+        }
+
+
+def small(lo=-3, hi=40):
+    return st.integers(lo, hi).map(str)
+
+
+def constellation():
+    return st.one_of(
+        st.lists(st.integers(-2, 12), min_size=0, max_size=5).map(
+            lambda gs: ",".join(map(str, gs))
+        ),
+        st.just("2,x"),
+    )
+
+
+def options(paths):
+    """Each subcommand's flags, with a strategy for each flag's value list."""
+    cycle = st.sampled_from(paths["cycle"]).map(lambda p: [p])
+    out = st.sampled_from(paths["out"]).map(lambda p: [p])
+    csv = st.sampled_from(["-", *paths["out"]]).map(lambda p: [p])
+    flag = st.just([])
+
+    def one(s):
+        return s.map(lambda v: [v])
+
+    stage = one(small(-2, 17))
+    gap = one(small(-4, 64))
+    return {
+        "build": {"--prime": stage, "--out": out},
+        "verify": {"--cycle": cycle, "--oracle": flag},
+        "census": {
+            "--cycle": cycle,
+            "--gap": gap,
+            "--constellation": one(constellation()),
+            "--max-len": one(small(-2, 12)),
+            "--csv": csv,
+            "--normalize": flag,
+        },
+        "model": {"--cycle": cycle, "--gap": gap, "--to-prime": one(small(-2, 60)), "--csv": csv},
+        "asymptotic": {
+            "--gap": gap,
+            "--at-prime": one(small(-2, 1000)),
+            "--constellation": one(constellation()),
+            "--cycle": cycle,
+        },
+        "repetition": {"--gap": gap, "--length": one(small(-2, 12))},
+        "ajk": {
+            "--p0": one(small(-2, 40)),
+            "--pk": one(small(-2, 1000)),
+            "--jmax": one(small(-2, 12)),
+        },
+        "crossover": {"--gap-a": gap, "--gap-b": gap, "--cycle": cycle, "--map-prime": flag},
+        "attrition": {"--cycle": cycle, "--csv": csv},
+        "naive-error": {
+            "--pmin": stage,
+            "--pmax": stage,
+            "--gaps": st.lists(small(-4, 12), max_size=3),
+            "--constellation": one(constellation()),
+            "--csv": csv,
+        },
+        "reproduce": {},
+    }
+
+
+@st.composite
+def argvs(draw, paths):
+    table = options(paths)
+    command = draw(st.sampled_from(sorted(table)))
+    if command == "reproduce":
+        return [command, draw(st.sampled_from(["table2", "table3", "table5", "fig5",
+                                               "g7-attrition", "table4"]))]
+    argv = [command]
+    for flag, values in table[command].items():
+        # most flags present, so runs get past argparse's required checks
+        if draw(st.integers(0, 4)):
+            argv += [flag, *draw(values)]
+    return argv
+
+
+@settings(max_examples=250, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_random_argv_never_tracebacks(paths, data):
+    argv = data.draw(argvs(paths), label="argv")
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejected the argv
+        assert exc.code == 2
+        return
+    assert code in (0, 1, 2)

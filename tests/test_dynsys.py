@@ -20,7 +20,7 @@ from gapsieve.primal import phi_i, primes_upto
 
 
 def vec(entries, j1=1, ref=1):
-    return PopulationVector(j1, tuple(F(e) for e in entries), ref)
+    return PopulationVector(j1, tuple(entries), ref)
 
 
 def matmul(a, b):
@@ -53,6 +53,14 @@ def test_step_examples():
     assert step(vec([2, 4]), 7).entries == (F(14), F(16))
     assert step(vec([0, 2, 1]), 7).entries == (F(2), F(10), F(3))
     assert step(vec([0, 0, 0]), 7).entries == (F(0), F(0), F(0))
+
+
+def test_entries_are_int_counts(g7):
+    v = PopulationVector.from_census(census_for(g7, 6))
+    for w in (v, step(v, 11), v.padded(v.max_length + 2)):
+        assert all(type(e) is int for e in w.entries)
+    assert v.ratios == tuple(F(e, v.ref) for e in v.entries)
+    assert asymptotic_ratio(v) == F(sum(v.entries), v.ref)
 
 
 def test_step_rejects_small_prime():
