@@ -76,6 +76,8 @@ def cmd_verify(args) -> int:
 def cmd_census(args) -> int:
     if bool(args.gap) == bool(args.constellation):
         raise ValueError("pass either --gap G (repeatable) or --constellation LIST")
+    if args.constellation and args.normalize:
+        raise ValueError("--normalize adds ratios to --gap tables; a constellation CSV has none")
     s = Constellation.parse(args.constellation) if args.constellation else None
     length = s.length if s else 1
     if args.max_len is not None and args.max_len < length:
@@ -126,6 +128,8 @@ def cmd_model(args) -> int:
 
 def cmd_asymptotic(args) -> int:
     if args.constellation:
+        if args.gap is not None or args.at_prime is not None:
+            raise ValueError("--gap and --at-prime do not apply to --constellation")
         if not args.cycle:
             raise ValueError("--constellation needs --cycle FILE for initial conditions")
         s = Constellation.parse(args.constellation)
@@ -316,8 +320,19 @@ def cmd_reproduce(args) -> int:
     return 0 if ok else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1, the validation-error code.
+
+    Subparsers are made with the parent's class, so they exit 1 too.
+    """
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="gapsieve",
         description="Cycles of gaps in Eratosthenes sieve: censuses, population models, asymptotics, survival.",
     )

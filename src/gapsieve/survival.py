@@ -131,10 +131,62 @@ class AttritionTrace:
         return None
 
 
-def _histogram(gaps: np.ndarray) -> dict[int, int]:
-    counts = np.bincount(gaps)
+def _histogram(counts: np.ndarray) -> dict[int, int]:
+    """Gap size -> count for the nonzero entries of a bincount array."""
     sizes = np.flatnonzero(counts)
     return dict(zip(sizes.tolist(), counts[sizes].tolist()))
+
+
+def _strike_passes(
+    vals: np.ndarray, counts: np.ndarray, sieve_primes: list[int], n: int
+) -> tuple[np.ndarray, list[AttritionStep], np.ndarray]:
+    """Run the sieve passes over the candidates ``vals`` with gap counts ``counts``.
+
+    Survivors form a doubly linked list over the fixed index space of
+    ``vals``.  A pass strikes exactly the surviving q*k for surviving k in
+    [2, N/q]: a survivor divisible by q has no earlier-struck factor, so its
+    cofactor survives too (each composite is struck once, by the first
+    listed prime dividing it).  That holds for any sieve list, in any order,
+    with omissions or repeats.  The struck candidates form runs along the
+    list; each run's gaps give way to one merged gap and the run is
+    unlinked, so a pass costs O(candidates <= N/q + struck).
+
+    Returns the survivor mask, one step per pass and the final gap counts.
+    """
+    m = len(vals)
+    last = int(vals[-1]) - 1  # largest strikable value: N on a well-formed cycle
+    alive = np.ones(m, dtype=bool)
+    prev = np.arange(-1, m - 1, dtype=np.int32)
+    nxt = np.arange(1, m + 1, dtype=np.int32)
+    steps: list[AttritionStep] = []
+    for q in sieve_primes:
+        k_end = int(np.searchsorted(vals, last // q, side="right"))
+        products = q * vals[1 + np.flatnonzero(alive[1:k_end])]
+        idx = np.searchsorted(vals, products)
+        hit = (vals[idx] == products) & alive[idx]
+        struck, at = idx[hit], products[hit]
+        if len(struck):
+            alive[struck] = False
+            left, right = prev[struck], nxt[struck]
+            # a run of struck candidates starts where its left neighbour
+            # survives and ends where its right neighbour does
+            starts, ends = alive[left], alive[right]
+            before, after = left[starts], right[ends]
+            at_left, at_after = vals[left], vals[after]
+            # every gap touching a struck candidate: its left gap, plus the
+            # right gap of each run's last candidate
+            removed = np.bincount(np.concatenate((at - at_left, at_after - at[ends])))
+            merged = np.bincount(at_after - at_left[starts])
+            if len(merged) > len(counts):
+                counts = np.pad(counts, (0, len(merged) - len(counts)))
+            counts[: len(removed)] -= removed
+            counts[: len(merged)] += merged
+            nxt[before] = after
+            prev[after] = before
+        if int(np.arange(len(counts)) @ counts) != n:
+            raise AssertionError(f"gap total broke conservation at q={q}")
+        steps.append(AttritionStep(q, len(struck), _histogram(counts)))
+    return alive, steps, counts
 
 
 def attrition(
@@ -144,7 +196,8 @@ def attrition(
 
     Each pass strikes the surviving composite candidates divisible by q (q
     itself stays; it is the prime being confirmed) and merges the gaps
-    around them.  The gap total is conserved at N after every pass.
+    around them.  The gap total is conserved at N after every pass, and the
+    final gaps are checked against the counts tracked through the passes.
     """
     n = cycle.modulus
     pk = cycle.prime
@@ -156,20 +209,15 @@ def attrition(
     else:
         sieve_primes = list(sieve_primes)
     vals = cycle.values()
-    initial = _histogram(np.diff(vals))
-    steps: list[AttritionStep] = []
-    for q in sieve_primes:
-        struck = (vals % q == 0) & (vals != q)
-        struck[0] = False
-        struck[-1] = False
-        closures = int(struck.sum())
-        vals = vals[~struck]
-        gaps = np.diff(vals)
-        if int(gaps.sum()) != n:
-            raise AssertionError(f"gap total broke conservation at q={q}")
-        steps.append(AttritionStep(q, closures, _histogram(gaps)))
+    counts = np.bincount(cycle.gaps).astype(np.int64, copy=False)
+    initial = _histogram(counts)
+    alive, steps, counts = _strike_passes(vals, counts, sieve_primes, n)
+    final_values = vals[alive]
+    final_gaps = np.diff(final_values)
+    if not np.array_equal(np.bincount(final_gaps, minlength=len(counts)), counts):
+        raise AssertionError("surviving gaps disagree with the tracked histogram")
     return AttritionTrace(
-        pk, n, sieve_primes, initial, steps, vals, np.diff(vals)
+        pk, n, sieve_primes, initial, steps, final_values, final_gaps
     )
 
 

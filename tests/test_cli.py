@@ -120,8 +120,10 @@ def test_census_constellation(cycle13, capsys):
     "target",
     [[], ["--gap", "6", "--constellation", "2,10,2"], ["--gap", "6", "--max-len", "0"],
      ["--constellation", "2,10,2", "--max-len", "1"],
-     ["--constellation", "2,10,2", "--max-len", "2"]],
-    ids=["none", "gap-and-constellation", "gap-max-len-0", "max-len-1", "max-len-2"],
+     ["--constellation", "2,10,2", "--max-len", "2"],
+     ["--constellation", "2,10,2", "--csv", "-", "--normalize"]],
+    ids=["none", "gap-and-constellation", "gap-max-len-0", "max-len-1", "max-len-2",
+         "constellation-normalize"],
 )
 def test_census_rejects_bad_target(cycle13, capsys, target):
     assert main(["census", "--cycle", cycle13, *target]) == 1
@@ -162,6 +164,33 @@ def test_asymptotic_gap(capsys):
 def test_asymptotic_constellation(cycle13, capsys):
     assert main(["asymptotic", "--constellation", "2,10,2,10,2", "--cycle", cycle13]) == 0
     assert capsys.readouterr().out.strip() == "144/35"
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [["--gap", "30"], ["--at-prime", "5"], ["--gap", "30", "--at-prime", "5"]],
+    ids=["gap", "at-prime", "gap-and-at-prime"],
+)
+def test_asymptotic_rejects_constellation_with_gap_flags(cycle13, capsys, extra):
+    assert main(["asymptotic", "--constellation", "2,10,2", "--cycle", cycle13, *extra]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["census"], [], ["build", "--prime", "x"], ["reproduce", "table4"], ["census", "--bogus"]],
+    ids=["missing-required", "no-command", "bad-int", "bad-choice", "unknown-flag"],
+)
+def test_usage_errors_exit_1(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: gapsieve")
+    assert "error: " in captured.err
 
 
 def test_repetition(capsys):

@@ -1,4 +1,4 @@
-"""Random argv over every subcommand: main() returns 0, 1 or 2 or argparse exits.
+"""Random argv over every subcommand: main() returns 0, 1 or 2, or argparse exits 1.
 
 Any other exception is a traceback the exit-code contract forbids.  Paths are
 drawn from a stage-7 and a stage-13 cache, a missing file, a directory and a
@@ -115,6 +115,6 @@ def test_random_argv_never_tracebacks(paths, data):
     try:
         code = main(argv)
     except SystemExit as exc:  # argparse rejected the argv
-        assert exc.code == 2
+        assert exc.code == 1
         return
     assert code in (0, 1, 2)

@@ -1,10 +1,16 @@
+from math import isqrt
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gapsieve import build_primorial_cycle
 from gapsieve.census import Constellation
 from gapsieve.primal import DEFAULT_SIEVE_BUDGET, CapacityError, primes_in
-from gapsieve.refvalues import ATTRITION_7_FOLDED
+from gapsieve.refvalues import ATTRITION_7_FOLDED, ATTRITION_13_OMITTED_PRIME
 from gapsieve.survival import (
+    AttritionStep,
     actual_gap_count,
     attrition,
     attrition_histograms_csv,
@@ -123,3 +129,97 @@ def test_attrition_histogram_csv(g13):
     final_rows = [l for l in lines if l.startswith("173,")]
     total = sum(int(l.split(",")[2]) for l in final_rows)
     assert total == trace.final_gap_count
+
+
+def _histogram(gaps):
+    counts = np.bincount(gaps)
+    sizes = np.flatnonzero(counts)
+    return dict(zip(sizes.tolist(), counts[sizes].tolist()))
+
+
+def _primes_above(cycle):
+    """The default sieve list: the primes q above the stage with q^2 < N."""
+    top = isqrt(cycle.modulus)
+    ps = primes_in(cycle.prime + 1, top) if top > cycle.prime else []
+    return [q for q in ps if q * q < cycle.modulus]
+
+
+def full_pass_attrition(cycle, sieve_primes=None):
+    """Oracle: rescan, mask and copy every survivor on each pass (stage <= 17).
+
+    Returns (initial histogram, steps, final values, final gaps).
+    """
+    n = cycle.modulus
+    if sieve_primes is None:
+        sieve_primes = _primes_above(cycle)
+    vals = cycle.values()
+    initial = _histogram(np.diff(vals))
+    steps = []
+    for q in sieve_primes:
+        struck = (vals % q == 0) & (vals != q)
+        struck[0] = False
+        struck[-1] = False
+        vals = vals[~struck]
+        gaps = np.diff(vals)
+        assert int(gaps.sum()) == n
+        steps.append(AttritionStep(q, int(struck.sum()), _histogram(gaps)))
+    return initial, steps, vals, np.diff(vals)
+
+
+def _assert_matches_oracle(cycle, sieve_primes=None):
+    trace = attrition(cycle, sieve_primes)
+    initial, steps, final_values, final_gaps = full_pass_attrition(cycle, sieve_primes)
+    assert trace.initial_histogram == initial
+    assert trace.steps == steps
+    assert trace.final_values.dtype == final_values.dtype
+    assert np.array_equal(trace.final_values, final_values)
+    assert trace.final_gaps.dtype == final_gaps.dtype
+    assert np.array_equal(trace.final_gaps, final_gaps)
+
+
+@pytest.fixture(scope="module")
+def stage_cycles():
+    return {p: build_primorial_cycle(p) for p in (5, 7, 11, 13, 17)}
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 17])
+def test_attrition_matches_full_pass_oracle(stage_cycles, p):
+    _assert_matches_oracle(stage_cycles[p])
+
+
+@pytest.mark.parametrize("p", [7, 11, 13, 17])
+def test_attrition_matches_oracle_with_a_prime_dropped(stage_cycles, p):
+    cycle = stage_cycles[p]
+    full = _primes_above(cycle)
+    # the first, second, a middle and the last prime, and fig5's omitted prime
+    dropped = {full[0], full[1], full[len(full) // 2], full[-1]}
+    if ATTRITION_13_OMITTED_PRIME in full:
+        dropped.add(ATTRITION_13_OMITTED_PRIME)
+    for d in sorted(dropped):
+        _assert_matches_oracle(cycle, [q for q in full if q != d])
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 17])
+def test_attrition_matches_oracle_on_unordered_list(stage_cycles, p):
+    full = _primes_above(stage_cycles[p])
+    mixed = full[1::2][::-1] + [2, 3] + full[::2]
+    if full:
+        mixed.append(full[len(full) // 2])  # a repeated prime strikes nothing new
+    _assert_matches_oracle(stage_cycles[p], mixed)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(p=st.sampled_from([7, 11]),
+       primes=st.lists(st.sampled_from(primes_in(2, 60)), max_size=12))
+def test_attrition_matches_oracle_on_any_list(p, primes):
+    _assert_matches_oracle(build_primorial_cycle(p), primes)
+
+
+def test_attrition_stage17_final_gaps_are_prime_gaps(stage_cycles):
+    cycle = stage_cycles[17]
+    trace = attrition(cycle)
+    n = cycle.modulus
+    # 1, the primes past the stage, and the wrap value N+1 (composite at 17)
+    expected = np.diff([1] + primes_in(18, n) + [n + 1])
+    assert np.array_equal(trace.final_gaps, expected)
+    assert trace.max_surviving_gap == int(expected.max())
