@@ -11,7 +11,6 @@ from .census import (
     Census,
     Constellation,
     census_for,
-    census_table,
     population_count,
 )
 from .cycle import (

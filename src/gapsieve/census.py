@@ -3,22 +3,19 @@
 All window counts here are cyclic: windows may wrap past the end of the
 cycle (and around it more than once when the target sum exceeds the modulus).
 Because every gap is positive, at most one window of a given start index can
-sum to the target, so one chunked kernel (prefix sums and exact searchsorted
-hits) counts gaps and constellations alike: a gap is a length-1
-constellation.
+sum to the target, so one kernel (prefix sums and exact searchsorted hits,
+slice by slice through ``cycle.cyclic_slices``) counts gaps and
+constellations alike: a gap is a length-1 constellation.
 """
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import accumulate
 
 import numpy as np
 
-from .cycle import GapCycle
-from .primal import phi_i
+from .cycle import GapCycle, cyclic_slices
 
 
 @dataclass(frozen=True)
@@ -97,25 +94,19 @@ class Census:
         return [self.counts.get(j, 0) for j in range(self.j1, top + 1)]
 
 
-CHUNK_STARTS = 1 << 20  # start positions per kernel pass
-
-
 def _window_counts(gaps: np.ndarray, boundaries: list[int]) -> dict[int, int]:
     """Counts by length of the cyclic windows whose prefix sums hit every boundary.
 
-    A chunk of start positions is read together with enough wrapped gaps to
-    close any window of sum boundaries[-1].  Gaps are positive, so the
-    candidate values (prefix sums) are strictly increasing and each start
+    Each slice of start positions is read together with enough following
+    gaps to close any window of sum boundaries[-1].  Gaps are positive, so
+    the candidate values (prefix sums) are strictly increasing and each start
     value plus a boundary is found by one exact searchsorted hit; starts that
     miss a boundary drop out before the next one.
     """
-    m = len(gaps)
     # a window of span s holds at most s // min_gap gaps
     extra = boundaries[-1] // int(gaps.min())
     counts = np.zeros(extra + 1, dtype=np.int64)
-    for lo in range(0, m, CHUNK_STARTS):
-        n = min(CHUNK_STARTS, m - lo)
-        part = np.take(gaps, np.arange(lo, lo + n + extra), mode="wrap")
+    for n, part in cyclic_slices(gaps, len(gaps), extra):
         values = np.concatenate(([0], np.cumsum(part, dtype=np.int64)))
         first = np.arange(n)
         for b in boundaries:
@@ -142,56 +133,14 @@ def census_for(cycle: GapCycle, target: Constellation | int) -> Census:
 def population_count(cycle: GapCycle, target: Constellation | int) -> int:
     """The target's own population: cyclic starts whose next gaps equal it.
 
-    Compares u16 views of the cycle shifted by 0..j1-1 positions (with
-    wrap), so a memory-mapped cycle is never copied.
+    Compares shifted views of each slice, so a memory-mapped cycle costs
+    O(slice) extra memory.
     """
-    gaps = cycle.gaps
-    m = len(gaps)
-    mask = np.ones(m, dtype=bool)
-    for t, g in enumerate(as_constellation(target).gaps):
-        k = t % m
-        mask[: m - k] &= gaps[k:] == g
-        mask[m - k :] &= gaps[:k] == g
-    return int(np.count_nonzero(mask))
-
-
-@dataclass
-class CensusTableRow:
-    gap: int
-    counts: list[int]  # lengths 1..max_len
-    truncated: bool  # nonzero counts were dropped beyond max_len
-
-
-@dataclass
-class CensusTable:
-    modulus: int
-    max_len: int
-    rows: list[CensusTableRow]
-
-    def to_csv(self, normalize: bool = False) -> str:
-        """Long-format CSV: target, j, count and optionally the ratio column."""
-        buf = io.StringIO()
-        buf.write(f"# census modulus={self.modulus} max_len={self.max_len}\n")
-        header = "target,j,count"
-        if normalize:
-            header += ",normalized_ratio"
-        buf.write(header + "\n")
-        ref = phi_i(2, self.modulus) if normalize else None
-        for row in self.rows:
-            for j, c in enumerate(row.counts, start=1):
-                line = f"{row.gap},{j},{c}"
-                if normalize:
-                    line += f",{Fraction(c, ref)}"
-                buf.write(line + "\n")
-        return buf.getvalue()
-
-
-def census_table(cycle: GapCycle, gaps: list[int], max_len: int) -> CensusTable:
-    """One census row per requested gap, truncated at max_len with a flag."""
-    rows = []
-    for g in gaps:
-        census = census_for(cycle, g)
-        counts = [census.counts.get(j, 0) for j in range(1, max_len + 1)]
-        truncated = any(c for j, c in census.counts.items() if j > max_len)
-        rows.append(CensusTableRow(g, counts, truncated))
-    return CensusTable(cycle.modulus, max_len, rows)
+    gaps = as_constellation(target).gaps
+    total = 0
+    for n, part in cyclic_slices(cycle.gaps, cycle.gap_count, len(gaps) - 1):
+        mask = part[:n] == gaps[0]
+        for t, g in enumerate(gaps[1:], start=1):
+            mask &= part[t : t + n] == g
+        total += int(np.count_nonzero(mask))
+    return total

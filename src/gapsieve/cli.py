@@ -74,34 +74,33 @@ def cmd_verify(args) -> int:
 
 
 def cmd_census(args) -> int:
+    """One row per target, flagged where --max-len drops driving terms; --csv adds the long table."""
     if bool(args.gap) == bool(args.constellation):
         raise ValueError("pass either --gap G (repeatable) or --constellation LIST")
-    if args.constellation and args.normalize:
-        raise ValueError("--normalize adds ratios to --gap tables; a constellation CSV has none")
+    if args.normalize and (args.constellation or not args.csv):
+        raise ValueError("--normalize adds a ratio column to the --csv table of --gap rows")
     s = Constellation.parse(args.constellation) if args.constellation else None
     length = s.length if s else 1
     if args.max_len is not None and args.max_len < length:
         raise ValueError(f"--max-len {args.max_len} is below the target length {length}")
     cycle = cycle_mod.read_cache(args.cycle)
-    if s:
-        result = census_mod.census_for(cycle, s)
-        counts = result.vector(args.max_len or result.max_length)
-        print(f"{s}," + ",".join(str(c) for c in counts))
-        if args.csv:
-            rows = "\n".join(
-                f"{s},{j},{c}" for j, c in zip(range(s.length, s.length + len(counts)), counts)
-            )
-            _write_text(args.csv, f"# census modulus={cycle.modulus}\ntarget,j,count\n{rows}\n")
-        return 0
-    table = census_mod.census_table(cycle, args.gap, args.max_len or 9)
-    for row in table.rows:
-        counts = row.counts
-        while len(counts) > 1 and counts[-1] == 0:
-            counts = counts[:-1]
-        flag = " (truncated)" if row.truncated else ""
-        print(f"{row.gap}," + ",".join(str(c) for c in counts) + flag)
+    header = "target,j,count,normalized_ratio" if args.normalize else "target,j,count"
+    lines = [f"# census modulus={cycle.modulus}" + ("" if s else f" max_len={args.max_len or 9}"),
+             header]
+    for t in [s] if s else [Constellation((g,)) for g in args.gap]:
+        c = census_mod.census_for(cycle, t)
+        top = args.max_len or (c.max_length if s else 9)
+        cols = [c.vector(top)]
+        if args.normalize:
+            cols.append(dynsys.PopulationVector.from_census(c, top).ratios)
+        shown = cols[0]
+        while not s and len(shown) > 1 and shown[-1] == 0:  # gap rows end at a nonzero length
+            shown = shown[:-1]
+        flag = " (truncated)" if c.max_length > top else ""
+        print(f"{t}," + ",".join(map(str, shown)) + flag)
+        lines += [",".join(map(str, (t, j, *row))) for j, row in enumerate(zip(*cols), c.j1)]
     if args.csv:
-        _write_text(args.csv, table.to_csv(normalize=args.normalize))
+        _write_text(args.csv, "\n".join(lines) + "\n")
     return 0
 
 
@@ -415,6 +414,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    # exact counts outgrow CPython's int-to-str digit guard (model past stage ~10,000);
+    # it is lifted for this command's output only
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except (CapacityError, MemoryError) as exc:
@@ -423,6 +427,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:  # CacheFormatError and FileNotFoundError too
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -8,6 +8,10 @@ the candidate values, any candidate divisible by the new prime is dropped and
 its two neighboring gaps coalesce.  The walk keeps only the running candidate
 value, so its output goes chunk by chunk to either a preallocated array or a
 cache file.
+
+Every pass over a cycle (the merge walk, the census kernel, population
+counts and verification) reads it through ``cyclic_slices``, so a
+memory-mapped cycle costs O(CHUNK_GAPS) extra memory.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from .primal import (
 )
 
 GAP_LIMIT = 0xFFFF  # gaps are stored as u16
-CHUNK_GAPS = 1 << 16  # source gaps per slice of the merge walk; its int64 temporaries stay in cache
+CHUNK_GAPS = 1 << 16  # positions per slice of a pass over a cycle; its int64 temporaries stay in cache
 
 CACHE_MAGIC = b"GAPC"
 CACHE_VERSION = 1
@@ -86,10 +90,11 @@ class GapCycle:
         return max(self.factors)
 
     def values(self) -> np.ndarray:
-        """Candidate values 1, g1+1, ..., N+1 as int64 (prefix sums)."""
-        return np.concatenate(
-            ([1], 1 + np.cumsum(self.gaps.astype(np.int64), dtype=np.int64))
-        )
+        """Candidate values 1, g1+1, ..., N+1 as int64 (prefix sums, one int64 array)."""
+        v = np.empty(len(self.gaps) + 1, dtype=np.int64)
+        v[0] = 1
+        v[1:] = self.gaps
+        return np.cumsum(v, out=v)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GapCycle):
@@ -108,34 +113,47 @@ def _as_cycle(factors: tuple[int, ...], gaps: np.ndarray) -> GapCycle:
 _UNIT_CYCLE = GapCycle((), np.ones(1, dtype=np.uint16))
 
 
+def cyclic_slices(
+    gaps: np.ndarray, length: int, extra: int = 0
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (n, part) for each CHUNK_GAPS slice of the positions [0, length).
+
+    ``part`` holds the n gaps at those positions and the ``extra`` gaps after
+    them, read cyclically (length and extra may exceed the cycle).  It is a
+    view where the slice does not wrap and an O(slice) copy where it does.
+    """
+    m = len(gaps)
+    for lo in range(0, length, CHUNK_GAPS):
+        n = min(CHUNK_GAPS, length - lo)
+        start = lo % m
+        if start + n + extra <= m:
+            yield n, gaps[start : start + n + extra]
+        else:
+            yield n, np.take(gaps, np.arange(start, start + n + extra), mode="wrap")
+
+
 def _merged_chunks(gaps: np.ndarray, q: int) -> Iterator[np.ndarray]:
     """Yield the gaps of the extended cycle in u16 chunks.
 
-    Walks q concatenated copies of ``gaps``, CHUNK_GAPS source gaps at a
-    time, tracking the running candidate value; candidates divisible by q
-    are dropped, which merges the pending gap into the next one.  The start
-    value 1 and the end value qN+1 are congruent to 1 mod q, so the walk
-    never merges across the wrap.
+    Walks q concatenated copies of ``gaps`` slice by slice, tracking the
+    running candidate value; candidates divisible by q are dropped, which
+    merges the pending gap into the next one.  The start value 1 and the end
+    value qN+1 are congruent to 1 mod q, so the walk never merges across the
+    wrap.
     """
-    m = len(gaps)
-    # a short source is walked several whole copies per slice
-    copies = max(1, min(q, CHUNK_GAPS // m))
-    src = np.tile(gaps, copies) if copies > 1 else gaps
     value = 1  # candidate value at the start of the pending slice
     last_kept = 1
-    for done in range(0, q, copies):
-        run = src[: min(copies, q - done) * m]
-        for lo in range(0, len(run), CHUNK_GAPS):
-            vals = value + np.cumsum(run[lo : lo + CHUNK_GAPS], dtype=np.int64)
-            kept = vals[vals % q != 0]
-            if len(kept):
-                out = np.diff(kept, prepend=last_kept)
-                mx = int(out.max())
-                if mx > GAP_LIMIT:
-                    raise CapacityError(f"gap {mx} exceeds u16 storage")
-                last_kept = int(kept[-1])
-                yield out.astype(np.uint16)
-            value = int(vals[-1])
+    for _, part in cyclic_slices(gaps, q * len(gaps)):
+        vals = value + np.cumsum(part, dtype=np.int64)
+        kept = vals[vals % q != 0]
+        if len(kept):
+            out = np.diff(kept, prepend=last_kept)
+            mx = int(out.max())
+            if mx > GAP_LIMIT:
+                raise CapacityError(f"gap {mx} exceeds u16 storage")
+            last_kept = int(kept[-1])
+            yield out.astype(np.uint16)
+        value = int(vals[-1])
 
 
 def extend_cycle(cycle: GapCycle, q: int) -> GapCycle:
@@ -289,13 +307,12 @@ def verify_cycle(cycle: GapCycle, oracle: bool = False) -> CycleReport:
     if n % 2 == 0:
         # an odd gap sets bit 0 of the OR over all gaps
         checks["even_gaps"] = not int(np.bitwise_or.reduce(cycle.gaps)) & 1
-    # chunked, so a mapped cycle is compared without a cycle-long temporary
+    # slice by slice, so a mapped cycle is compared without a cycle-long temporary
     body = cycle.gaps[:-1]
     half = len(body) // 2
-    head, tail = body[:half], body[::-1][:half]
     checks["palindrome"] = all(
-        np.array_equal(head[lo : lo + CHUNK_GAPS], tail[lo : lo + CHUNK_GAPS])
-        for lo in range(0, half, CHUNK_GAPS)
+        np.array_equal(head, tail)
+        for (_, head), (_, tail) in zip(cyclic_slices(body, half), cyclic_slices(body[::-1], half))
     )
 
     if cycle.is_primorial and cycle.prime >= 3:
@@ -304,8 +321,8 @@ def verify_cycle(cycle: GapCycle, oracle: bool = False) -> CycleReport:
         if p >= 5:
             twice_prev = 2 * prev_prime(p)
             cnt = sum(
-                int(np.count_nonzero(cycle.gaps[lo : lo + CHUNK_GAPS] == twice_prev))
-                for lo in range(0, m, CHUNK_GAPS)
+                int(np.count_nonzero(part == twice_prev))
+                for _, part in cyclic_slices(cycle.gaps, m)
             )
             checks["two_widest_pairs"] = cnt >= 2
             if not checks["two_widest_pairs"]:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from gapsieve import refvalues
-from gapsieve.census import Constellation, census_for, census_table
+from gapsieve.census import Constellation, census_for
 from gapsieve.cycle import (
     build_primorial_cycle,
     cycle_for_factors,
@@ -74,17 +74,14 @@ def test_criterion_2_census_table(g13):
     t0 = time.perf_counter()
     cycle = build_primorial_cycle(13)
     assert cycle.gap_count == 5760
-    table = census_table(cycle, sorted(refvalues.GAP_CENSUS_13), 9)
-    for row in table.rows:
-        expected = refvalues.GAP_CENSUS_13[row.gap]
-        assert row.counts[: len(expected)] == expected, f"gap {row.gap}"
-        assert all(c == 0 for c in row.counts[len(expected) :])
-        assert hl_ratio(row.gap) == refvalues.GAP_W_INFINITY[row.gap]
-        v = PopulationVector.from_census(census_for(cycle, row.gap))
-        assert asymptotic_ratio(v) == refvalues.GAP_W_INFINITY[row.gap]
+    for g, expected in sorted(refvalues.GAP_CENSUS_13.items()):
+        census = census_for(cycle, g)
+        assert census.vector() == expected, f"gap {g}"  # nothing beyond the table's length
+        assert hl_ratio(g) == refvalues.GAP_W_INFINITY[g]
+        assert asymptotic_ratio(PopulationVector.from_census(census)) == refvalues.GAP_W_INFINITY[g]
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0, f"census took {elapsed:.2f}s"
-    report(2, f"stage-13 census table, all {len(table.rows)} rows exact ({elapsed:.2f}s)")
+    report(2, f"stage-13 census table, all {len(refvalues.GAP_CENSUS_13)} rows exact ({elapsed:.2f}s)")
 
 
 def test_criterion_3_model_vs_census(g5, g7, g11, g13):

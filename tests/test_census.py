@@ -1,20 +1,21 @@
 import random
+from contextlib import contextmanager
 from functools import lru_cache
 from itertools import accumulate
 from math import prod
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from gapsieve.census import (
-    Census,
-    Constellation,
-    census_for,
-    census_table,
-    population_count,
+from gapsieve import cycle as cycle_mod
+from gapsieve.census import Constellation, census_for, population_count
+from gapsieve.cycle import (
+    build_primorial_cycle,
+    cycle_for_factors,
+    extend_cycle,
+    oracle_cycle,
 )
-from gapsieve.cycle import build_primorial_cycle, cycle_for_factors, extend_cycle
 from gapsieve.dynsys import PopulationVector, iterate
 from gapsieve.primal import primes_upto
 from gapsieve.refvalues import GAP_CENSUS_13
@@ -97,26 +98,11 @@ def test_census_vector_dense(g13):
 
 
 def test_census_table_matches_reference(g13):
-    table = census_table(g13, sorted(GAP_CENSUS_13), 9)
-    for row in table.rows:
-        expected = GAP_CENSUS_13[row.gap]
-        assert row.counts[: len(expected)] == expected
-        assert all(c == 0 for c in row.counts[len(expected) :])
-        assert not row.truncated
-
-
-def test_census_table_truncation_flag(g13):
-    table = census_table(g13, [30], 4)
-    assert table.rows[0].counts == [0, 0, 10, 194]
-    assert table.rows[0].truncated
-
-
-def test_census_table_csv(g13):
-    table = census_table(g13, [2, 4], 1)
-    text = table.to_csv()
-    assert text.splitlines()[0].startswith("#")
-    assert "2,1,1485" in text
-    assert "4,1,1485" in text
+    for gap, expected in sorted(GAP_CENSUS_13.items()):
+        c = census_for(g13, gap)
+        assert c.vector(9)[: len(expected)] == expected, f"gap {gap}"
+        assert all(n == 0 for n in c.vector(9)[len(expected) :]), f"gap {gap}"
+        assert c.max_length <= 9, f"gap {gap}"
 
 
 def test_reversal_symmetry(g7, g11):
@@ -161,10 +147,20 @@ def _cycle(factors: tuple[int, ...]):
     return cycle_for_factors(factors)
 
 
+@contextmanager
+def small_slices():
+    """Read every cycle in slices of 7 gaps, so slices wrap mid-copy and inside windows."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cycle_mod, "CHUNK_GAPS", 7)
+        yield
+
+
 @st.composite
-def squarefree_factors(draw):
-    """Ascending distinct primes whose product is at most 1e5."""
+def squarefree_factors(draw, even=False):
+    """Ascending distinct primes whose product is at most 1e5 (with 2 among them if even)."""
     fs = sorted(draw(st.sets(st.sampled_from(primes_upto(47)), min_size=1, max_size=5)))
+    if even and fs[0] != 2:
+        fs.insert(0, 2)
     while len(fs) > 1 and prod(fs) > 10**5:
         fs.pop()
     return tuple(fs)
@@ -184,9 +180,72 @@ def test_kernel_matches_brute_force(factors, target):
     cyc = _cycle(factors)
     s = Constellation(tuple(target))
     got = census_for(cyc, s)
-    assert got.counts == brute_force_census(cyc.gaps.tolist(), s)
+    expected = brute_force_census(cyc.gaps.tolist(), s)
+    assert got.counts == expected
     assert all(type(j) is int and type(c) is int and c for j, c in got.counts.items())
     assert got.population == population_count(cyc, s)
+    with small_slices():
+        assert census_for(cyc, s).counts == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(squarefree_factors())
+@example((41, 43, 47))  # the largest modulus the strategy draws, 82,861
+def test_cycle_for_factors_matches_oracle(factors):
+    expected = oracle_cycle(prod(factors))
+    assert cycle_for_factors(factors) == expected
+    with small_slices():
+        assert cycle_for_factors(factors) == expected
+
+
+def brute_force_population(gaps: list[int], s: Constellation) -> int:
+    m = len(gaps)
+    return sum(all(gaps[(i + t) % m] == g for t, g in enumerate(s.gaps)) for i in range(m))
+
+
+@settings(max_examples=60, deadline=None)
+@given(squarefree_factors(even=True), st.integers(0, 10**6), st.integers(1, 40), st.booleans())
+@example((2,), 0, 7, False)  # seven times round the one-gap cycle
+@example((2, 3), 1, 5, False)  # 2,4,2,4,2 over the two-gap cycle
+@example((2, 3, 5), 3, 9, True)
+def test_population_count_matches_brute_force(factors, start, length, perturb):
+    # the target is a cyclic window of the cycle, possibly longer than it
+    cyc = _cycle(factors)
+    gaps = cyc.gaps.tolist()
+    window = [gaps[(start + t) % len(gaps)] for t in range(length)]
+    if perturb:
+        window[-1] += 2
+    s = Constellation(tuple(window))
+    expected = brute_force_population(gaps, s)
+    assert expected or perturb
+    assert population_count(cyc, s) == expected
+    with small_slices():
+        assert population_count(cyc, s) == expected
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    squarefree_factors(),
+    st.lists(st.integers(1, 10).map(lambda h: 2 * h), min_size=2, max_size=4),
+)
+def test_census_reversal_symmetry(factors, target):
+    # x -> N - x maps the cycle onto itself read backwards
+    cyc = _cycle(factors)
+    s = Constellation(tuple(target))
+    with small_slices():
+        assert census_for(cyc, s).counts == census_for(cyc, s.reversed_()).counts
+
+
+@settings(max_examples=25, deadline=None)
+@given(squarefree_factors(), st.sampled_from(primes_upto(47)[1:]), st.integers(1, 46))
+def test_extension_scales_census_total(factors, q, h):
+    # a gap of span below 2q: of the q copies of each window, the two with an
+    # endpoint divisible by q drop out
+    assume(q not in factors and prod(factors) * q <= 10**5)
+    g = 2 * (1 + h % (q - 1))
+    cyc = _cycle(factors)
+    with small_slices():
+        assert census_for(extend_cycle(cyc, q), g).total == (q - 2) * census_for(cyc, g).total
 
 
 def test_census_population_matches_population_count(g7, g13):

@@ -1,8 +1,13 @@
+import sys
+
 import pytest
 
 from gapsieve import cycle as cycle_mod
+from gapsieve.census import census_for
 from gapsieve.cli import main
 from gapsieve.cycle import build_primorial_cycle, read_cache, write_cache
+from gapsieve.dynsys import PopulationVector, iterate
+from gapsieve.primal import primes_in
 
 
 def built(tmp_path, prime):
@@ -113,7 +118,33 @@ def test_census_constellation(cycle13, capsys):
     assert capsys.readouterr().out.strip() == "2,10,2,10,2,52,44,48"
     assert main(["census", "--cycle", cycle13, "--constellation", "2,10,2,10,2",
                  "--max-len", "5"]) == 0
-    assert capsys.readouterr().out.strip() == "2,10,2,10,2,52"
+    assert capsys.readouterr().out.strip() == "2,10,2,10,2,52 (truncated)"
+    assert main(["census", "--cycle", cycle13, "--constellation", "2,10,2,10,2",
+                 "--max-len", "7"]) == 0
+    assert capsys.readouterr().out.strip() == "2,10,2,10,2,52,44,48"
+
+
+def test_census_truncation_flag(cycle13, capsys):
+    assert main(["census", "--cycle", cycle13, "--gap", "30", "--max-len", "4"]) == 0
+    assert capsys.readouterr().out == "30,0,0,10,194 (truncated)\n"
+    assert main(["census", "--cycle", cycle13, "--gap", "30", "--max-len", "8"]) == 0
+    assert capsys.readouterr().out == "30,0,0,10,194,1066,1784,816,90\n"
+
+
+def test_census_gap_csv(cycle13, capsys):
+    assert main(["census", "--cycle", cycle13, "--gap", "2", "--gap", "4", "--max-len", "1",
+                 "--csv", "-"]) == 0
+    assert capsys.readouterr().out == (
+        "2,1485\n4,1485\n# census modulus=30030 max_len=1\ntarget,j,count\n2,1,1485\n4,1,1485\n"
+    )
+
+
+def test_census_constellation_csv(cycle13, capsys):
+    assert main(["census", "--cycle", cycle13, "--constellation", "2,10,2,10,2", "--csv", "-"]) == 0
+    assert capsys.readouterr().out == (
+        "2,10,2,10,2,52,44,48\n# census modulus=30030\ntarget,j,count\n"
+        "2,10,2,10,2,5,52\n2,10,2,10,2,6,44\n2,10,2,10,2,7,48\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -121,9 +152,10 @@ def test_census_constellation(cycle13, capsys):
     [[], ["--gap", "6", "--constellation", "2,10,2"], ["--gap", "6", "--max-len", "0"],
      ["--constellation", "2,10,2", "--max-len", "1"],
      ["--constellation", "2,10,2", "--max-len", "2"],
-     ["--constellation", "2,10,2", "--csv", "-", "--normalize"]],
+     ["--constellation", "2,10,2", "--csv", "-", "--normalize"],
+     ["--gap", "2", "--normalize"]],
     ids=["none", "gap-and-constellation", "gap-max-len-0", "max-len-1", "max-len-2",
-         "constellation-normalize"],
+         "constellation-normalize", "normalize-without-csv"],
 )
 def test_census_rejects_bad_target(cycle13, capsys, target):
     assert main(["census", "--cycle", cycle13, *target]) == 1
@@ -138,6 +170,25 @@ def test_model(cycle13, capsys):
     # stage 13 count 1690 and the stepped stage-17 count 15*1690 + 1280
     assert "13,1,1690,338/297" in out
     assert "17,1,26630,5326/4455" in out
+
+
+def test_model_prints_counts_past_the_int_str_digit_limit(cycle13, tmp_path):
+    # past stage ~10,000 the exact counts outgrow CPython's 4,300-digit int-to-str guard
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    csv = tmp_path / "model.csv"
+    assert main(["model", "--cycle", cycle13, "--gap", "6", "--to-prime", "10500",
+                 "--csv", str(csv)]) == 0
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit  # restored
+    v = iterate(PopulationVector.from_census(census_for(read_cache(cycle13), 6)), 13, 10500)
+    assert v.entries[-1].bit_length() > 4300 * 3.33
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        expected = f"{primes_in(14, 10500)[-1]},{v.max_length},{v.entries[-1]},{v.ratios[-1]}"
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+    assert csv.read_text().splitlines()[-1] == expected
 
 
 def test_model_rejects_target_not_fully_valid(tmp_path, capsys):
