@@ -73,32 +73,37 @@ def cmd_verify(args) -> int:
     return 0 if report.ok else 1
 
 
+def _targets(args) -> list[Constellation]:
+    """Every gap and --constellation target, in command-line order; a gap is (g,)."""
+    if not args.targets:
+        raise ValueError("no target: pass gaps and/or --constellation LIST (each repeatable)")
+    return [Constellation.parse(t) if isinstance(t, str) else Constellation((t,))
+            for t in args.targets]
+
+
 def cmd_census(args) -> int:
-    """One row per target, flagged where --max-len drops driving terms; --csv adds the long table."""
-    if bool(args.gap) == bool(args.constellation):
-        raise ValueError("pass either --gap G (repeatable) or --constellation LIST")
-    if args.normalize and (args.constellation or not args.csv):
-        raise ValueError("--normalize adds a ratio column to the --csv table of --gap rows")
-    s = Constellation.parse(args.constellation) if args.constellation else None
-    length = s.length if s else 1
-    if args.max_len is not None and args.max_len < length:
-        raise ValueError(f"--max-len {args.max_len} is below the target length {length}")
+    """One row per target, lengths j1..min(--max-len, max_length); --csv adds the long table."""
+    if args.normalize and not args.csv:
+        raise ValueError("--normalize adds a ratio column to the --csv table")
+    targets = _targets(args)
+    longest = max(t.length for t in targets)
+    if args.max_len is not None and args.max_len < longest:
+        raise ValueError(f"--max-len {args.max_len} is below the target length {longest}")
     cycle = cycle_mod.read_cache(args.cycle)
-    header = "target,j,count,normalized_ratio" if args.normalize else "target,j,count"
-    lines = [f"# census modulus={cycle.modulus}" + ("" if s else f" max_len={args.max_len or 9}"),
-             header]
-    for t in [s] if s else [Constellation((g,)) for g in args.gap]:
+    cap = "" if args.max_len is None else f" max_len={args.max_len}"
+    lines = [f"# census modulus={cycle.modulus}{cap}",
+             "target,j,count,normalized_ratio" if args.normalize else "target,j,count"]
+    for t in targets:
         c = census_mod.census_for(cycle, t)
-        top = args.max_len or (c.max_length if s else 9)
+        top = min(args.max_len or c.max_length, c.max_length)
         cols = [c.vector(top)]
         if args.normalize:
             cols.append(dynsys.PopulationVector.from_census(c, top).ratios)
-        shown = cols[0]
-        while not s and len(shown) > 1 and shown[-1] == 0:  # gap rows end at a nonzero length
-            shown = shown[:-1]
-        flag = " (truncated)" if c.max_length > top else ""
-        print(f"{t}," + ",".join(map(str, shown)) + flag)
+        cut = top < c.max_length
+        print(f"{t}," + ",".join(map(str, cols[0])) + (" (truncated)" if cut else ""))
         lines += [",".join(map(str, (t, j, *row))) for j, row in enumerate(zip(*cols), c.j1)]
+        if cut:
+            lines.append(f"# {t} truncated at max_len={top}; census max_length={c.max_length}")
     if args.csv:
         _write_text(args.csv, "\n".join(lines) + "\n")
     return 0
@@ -143,6 +148,8 @@ def cmd_asymptotic(args) -> int:
         return 0
     if args.gap is None:
         raise ValueError("pass --gap G or --constellation LIST")
+    if args.cycle:
+        raise ValueError("--cycle applies to --constellation only; a gap's ratio is closed-form")
     print(polignac.partial_ratio(args.gap, args.at_prime or args.gap))
     return 0
 
@@ -196,11 +203,7 @@ def cmd_attrition(args) -> int:
 
 
 def cmd_naive_error(args) -> int:
-    targets = [Constellation((g,)) for g in args.gaps]
-    if args.constellation:
-        targets.append(Constellation.parse(args.constellation))
-    if not targets:
-        raise ValueError("no targets: pass --gaps and/or --constellation")
+    targets = _targets(args)
     cycles = [load_or_build_cycle(p) for p in primes_in(args.pmin, args.pmax)]
     _write_text(args.csv, survival.error_report_csv(survival.error_report(cycles, targets)))
     return 0
@@ -310,8 +313,9 @@ REPRODUCE = {
 
 def cmd_reproduce(args) -> int:
     """Print the target's check lines, then one verdict line from their FAIL scan."""
-    if args.target == "table3" and not args.long:
-        raise ValueError("table3 sieves to ~1e12 (hours); rerun with --long")
+    if args.long != (args.target == "table3"):
+        raise ValueError("table3 sieves to ~1e12 (hours) and runs only with --long, "
+                         "which no other target takes")
     lines = REPRODUCE[args.target]()
     ok = not any("FAIL" in line for line in lines)
     lines.append(f"{args.target}: {'PASS' if ok else 'FAIL'}")
@@ -350,8 +354,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("census", help="count gaps/constellations and their driving terms")
     p.add_argument("--cycle", required=True)
-    p.add_argument("--gap", type=int, action="append", default=[], metavar="G")
-    p.add_argument("--constellation", metavar="LIST", help="comma list, e.g. 2,10,2")
+    p.add_argument("--gap", type=int, action="append", dest="targets", default=[], metavar="G")
+    p.add_argument("--constellation", action="append", dest="targets", metavar="LIST",
+                   help="comma list, e.g. 2,10,2; rows follow the command-line order")
     p.add_argument("--max-len", type=int, default=None)
     p.add_argument("--csv", metavar="OUT")
     p.add_argument("--normalize", action="store_true", help="add ratio column to CSV")
@@ -398,8 +403,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("naive-error", help="naive estimates vs true prime gaps")
     p.add_argument("--pmin", type=int, required=True)
     p.add_argument("--pmax", type=int, required=True)
-    p.add_argument("--gaps", type=int, nargs="*", default=[], metavar="G")
-    p.add_argument("--constellation", metavar="LIST")
+    p.add_argument("--gaps", type=int, nargs="*", action="extend", dest="targets", default=[],
+                   metavar="G")
+    p.add_argument("--constellation", action="append", dest="targets", metavar="LIST")
     p.add_argument("--csv", required=True, metavar="OUT")
     p.set_defaults(func=cmd_naive_error)
 

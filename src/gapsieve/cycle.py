@@ -405,22 +405,13 @@ def read_cache(path: str, mmap: bool = False) -> GapCycle:
             raise CacheFormatError(f"factors not ascending: {factors}")
         (gap_count,) = struct.unpack("<Q", raw[8 * nfac :])
         offset = fh.tell()
-    if mmap:
-        gaps = np.memmap(path, dtype="<u2", mode="r", offset=offset, shape=(gap_count,))
-        with open(path, "rb") as fh:
-            fh.seek(0, 2)
-            end = fh.tell()
-        if end != offset + 2 * gap_count:
-            raise CacheFormatError("payload length does not match gap count")
-    else:
-        with open(path, "rb") as fh:
-            fh.seek(offset)
-            payload = fh.read()
-        if len(payload) != 2 * gap_count:
-            raise CacheFormatError(
-                f"payload holds {len(payload) // 2} gaps, header says {gap_count}"
-            )
-        gaps = np.frombuffer(payload, dtype="<u2")
+        payload = os.fstat(fh.fileno()).st_size - offset
+        if payload != 2 * gap_count:
+            raise CacheFormatError(f"payload holds {payload} bytes, header says {gap_count} gaps")
+        if mmap:
+            gaps = np.memmap(path, dtype="<u2", mode="r", offset=offset, shape=(gap_count,))
+        else:
+            gaps = np.frombuffer(fh.read(), dtype="<u2")
     # '<u2' is uint16 on little-endian hosts, so a mapped payload stays mapped
     cyc = GapCycle(tuple(int(f) for f in factors), gaps.astype(np.uint16, copy=False))
     if totient_from_factors(cyc.factors) != gap_count:

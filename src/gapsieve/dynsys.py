@@ -56,10 +56,6 @@ class PopulationVector:
         return self.j1 + len(self.entries) - 1
 
     @property
-    def dim(self) -> int:
-        return len(self.entries)
-
-    @property
     def ratios(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(e, self.ref) for e in self.entries)
 
@@ -86,10 +82,6 @@ class SystemMatrices:
     R: tuple[tuple[int, ...], ...]
     L: tuple[tuple[int, ...], ...]
     eigenvalues: tuple[int, ...]
-
-    @property
-    def dim(self) -> int:
-        return self.max_length - self.j1 + 1
 
 
 def eigendecompose(p: int, j1: int, max_length: int) -> SystemMatrices:
@@ -125,7 +117,7 @@ def step(v: PopulationVector, p: int) -> PopulationVector:
     out = []
     for i, j in enumerate(range(j1, v.max_length + 1)):
         x = (p - j - 1) * v.entries[i]
-        if i + 1 < v.dim:
+        if i + 1 < len(v.entries):
             x += (j + 1 - j1) * v.entries[i + 1]
         out.append(x)
     return PopulationVector(j1, tuple(out), v.ref * (p - j1 - 1))
@@ -216,16 +208,20 @@ def eigenvalue_products(p0: int, pk: int, jmax: int) -> dict[int, float]:
     return {j: math.exp(math.fsum(parts)) for j, parts in sums.items()}
 
 
+# crossover looks for a sign change on a grid over (0, 1], then bisects to a tolerance
+CROSSOVER_GRID = 1024
+CROSSOVER_TOL = 1e-6
+# approximate_prime_for_decay computes a2 up to this stage prime, then extrapolates
+DECAY_ANCHOR = 10**6
+
+
 @dataclass
 class CrossoverResult:
     root: float  # second-eigenvalue-product value where the two targets tie
-    bracket: tuple[Fraction, Fraction]
     sign_at_zero: int  # sign of (A - B) in the asymptotic limit
 
 
-def crossover(
-    va: PopulationVector, vb: PopulationVector, tol: float = 1e-6, grid: int = 1024
-) -> CrossoverResult | None:
+def crossover(va: PopulationVector, vb: PopulationVector) -> CrossoverResult | None:
     """Smallest root in (0, 1) of the difference of decay polynomials.
 
     Returns None when the difference polynomial never changes sign on the
@@ -245,22 +241,20 @@ def crossover(
         return evaluate_polynomial(diff, x)
 
     prev_x = Fraction(0)
-    prev = d(prev_x)
-    bracket = None
-    for k in range(1, grid + 1):
-        x = Fraction(k, grid)
+    s0 = prev = d(prev_x)
+    for k in range(1, CROSSOVER_GRID + 1):
+        x = Fraction(k, CROSSOVER_GRID)
         cur = d(x)
         if cur == 0:
-            bracket = (x, x)
+            lo = hi = x
             break
         if prev != 0 and (prev < 0) != (cur < 0):
-            bracket = (prev_x, x)
+            lo, hi = prev_x, x
             break
         prev_x, prev = x, cur
-    if bracket is None:
+    else:
         return None
-    lo, hi = bracket
-    while float(hi - lo) > tol:
+    while float(hi - lo) > CROSSOVER_TOL:
         mid = (lo + hi) / 2
         if d(mid) == 0:
             lo = hi = mid
@@ -269,26 +263,25 @@ def crossover(
             hi = mid
         else:
             lo = mid
-    s0 = d(Fraction(0))
     sign = 0 if s0 == 0 else (1 if s0 > 0 else -1)
-    return CrossoverResult(float((lo + hi) / 2), (lo, hi), sign)
+    return CrossoverResult(float((lo + hi) / 2), sign)
 
 
-def approximate_prime_for_decay(a2_target: float, p0: int, anchor: int = 10**6) -> float:
+def approximate_prime_for_decay(a2_target: float, p0: int) -> float:
     """Rough stage prime at which the second eigenvalue product reaches a2.
 
-    First-order, the product decays like log(p0)/log(p), so one computed
-    anchor point extrapolates:  log(p) ~ log(anchor) * a2(anchor)/a2.
+    First-order, the product decays like log(p0)/log(p), so its value at the
+    stage A = DECAY_ANCHOR extrapolates:  log(p) ~ log(A) * a2(A)/a2.
     """
     if not 0 < a2_target < 1:
         raise ValueError("target must be in (0, 1)")
-    a2_anchor = eigenvalue_products(p0, anchor, 2)[2]
+    a2_anchor = eigenvalue_products(p0, DECAY_ANCHOR, 2)[2]
     if a2_target >= a2_anchor:
         # the target is reached by the anchor: walk directly; if the walk's
         # rounding falls short of it, the extrapolation below still answers
         prod = 1.0
-        for p in primes_in(p0 + 1, anchor):
+        for p in primes_in(p0 + 1, DECAY_ANCHOR):
             prod *= (p - 3) / (p - 2)
             if prod <= a2_target:
                 return float(p)
-    return math.exp(math.log(anchor) * a2_anchor / a2_target)
+    return math.exp(math.log(DECAY_ANCHOR) * a2_anchor / a2_target)

@@ -19,7 +19,7 @@ import numpy as np
 # Cycle construction is unreachable at desk scale beyond this factor bound.
 PRIME_FACTOR_CAP = 101
 
-DEFAULT_SIEVE_BUDGET = 10**10
+SIEVE_BUDGET = 10**10
 
 # Integers per sieve block.  eigenvalue_products takes one fsum per block, so
 # this partition fixes the rounding of a_j: changing it changes a_j's low bits.
@@ -62,16 +62,16 @@ def prime_blocks(a: int, b: int) -> Iterator[np.ndarray]:
         yield sieve_segment(lo, min(lo + SIEVE_BLOCK - 1, b), base)
 
 
-def primes_in(a: int, b: int, budget: int = DEFAULT_SIEVE_BUDGET) -> list[int]:
+def primes_in(a: int, b: int) -> list[int]:
     """Ascending list of the primes in [a, b].
 
     Raises ValueError on an inverted range and CapacityError when b exceeds
-    the configured budget.
+    SIEVE_BUDGET.
     """
     if a > b:
         raise ValueError(f"inverted range [{a}, {b}]")
-    if b > budget:
-        raise CapacityError(f"upper bound {b} exceeds sieve budget {budget}")
+    if b > SIEVE_BUDGET:
+        raise CapacityError(f"upper bound {b} exceeds sieve budget {SIEVE_BUDGET}")
     return [p for ps in prime_blocks(a, b) for p in ps.tolist()]
 
 

@@ -1,9 +1,10 @@
 import sys
+from fractions import Fraction
 
 import pytest
 
 from gapsieve import cycle as cycle_mod
-from gapsieve.census import census_for
+from gapsieve.census import Constellation, census_for
 from gapsieve.cli import main
 from gapsieve.cycle import build_primorial_cycle, read_cache, write_cache
 from gapsieve.dynsys import PopulationVector, iterate
@@ -147,15 +148,61 @@ def test_census_constellation_csv(cycle13, capsys):
     )
 
 
+def test_census_csv_marks_truncated_rows(cycle13, capsys):
+    assert main(["census", "--cycle", cycle13, "--gap", "30", "--max-len", "4", "--csv", "-"]) == 0
+    assert capsys.readouterr().out == (
+        "30,0,0,10,194 (truncated)\n# census modulus=30030 max_len=4\ntarget,j,count\n"
+        "30,1,0\n30,2,0\n30,3,10\n30,4,194\n# 30 truncated at max_len=4; census max_length=8\n"
+    )
+
+
+def test_census_rows_run_to_the_census_max_length(cycle13, capsys):
+    # one row rule for every target: lengths j1 .. min(--max-len, max_length)
+    assert main(["census", "--cycle", cycle13, "--gap", "60"]) == 0
+    assert capsys.readouterr().out == "60,0,0,0,0,0,0,0,0,70,492,1348,1472,512,64,2\n"
+    assert main(["census", "--cycle", cycle13, "--constellation", "2,10,2", "--max-len", "9"]) == 0
+    assert capsys.readouterr().out == "2,10,2,216,288\n"
+
+
+def test_census_repeated_constellation(cycle13, capsys):
+    assert main(["census", "--cycle", cycle13, "--constellation", "2,4",
+                 "--constellation", "6,6"]) == 0
+    assert capsys.readouterr().out == "2,4,640\n6,6,338,750,192\n"
+
+
+def test_census_mixed_targets_in_command_line_order(cycle13, capsys):
+    assert main(["census", "--cycle", cycle13, "--constellation", "2,10,2", "--gap", "2",
+                 "--constellation", "6,6", "--csv", "-", "--normalize"]) == 0
+    assert capsys.readouterr().out == (
+        "2,10,2,216,288\n2,1485\n6,6,338,750,192\n"
+        "# census modulus=30030\ntarget,j,count,normalized_ratio\n"
+        "2,10,2,3,216,8/7\n2,10,2,4,288,32/21\n2,1,1485,1\n"
+        "6,6,2,338,169/320\n6,6,3,750,75/64\n6,6,4,192,3/10\n"
+    )
+
+
+def test_census_normalize_is_the_population_vector_ratio(cycle13, tmp_path):
+    out = tmp_path / "c.csv"
+    assert main(["census", "--cycle", cycle13, "--constellation", "2,10,2,10,2", "--gap", "30",
+                 "--max-len", "6", "--csv", str(out), "--normalize"]) == 0
+    rows = [r.split(",") for r in out.read_text().splitlines() if not r.startswith("#")][1:]
+    g13 = read_cache(cycle13)
+    expected = []
+    for target in (Constellation.parse("2,10,2,10,2"), Constellation((30,))):
+        c = census_for(g13, target)
+        v = PopulationVector.from_census(c, min(6, c.max_length))
+        expected += [(str(target), j, e, r)
+                     for j, e, r in zip(range(v.j1, v.max_length + 1), v.entries, v.ratios)]
+    assert [(",".join(r[:-3]), int(r[-3]), int(r[-2]), Fraction(r[-1])) for r in rows] == expected
+
+
 @pytest.mark.parametrize(
     "target",
-    [[], ["--gap", "6", "--constellation", "2,10,2"], ["--gap", "6", "--max-len", "0"],
+    [[], ["--gap", "6", "--max-len", "0"],
      ["--constellation", "2,10,2", "--max-len", "1"],
      ["--constellation", "2,10,2", "--max-len", "2"],
-     ["--constellation", "2,10,2", "--csv", "-", "--normalize"],
      ["--gap", "2", "--normalize"]],
-    ids=["none", "gap-and-constellation", "gap-max-len-0", "max-len-1", "max-len-2",
-         "constellation-normalize", "normalize-without-csv"],
+    ids=["none", "gap-max-len-0", "max-len-1", "max-len-2", "normalize-without-csv"],
 )
 def test_census_rejects_bad_target(cycle13, capsys, target):
     assert main(["census", "--cycle", cycle13, *target]) == 1
@@ -224,6 +271,14 @@ def test_asymptotic_constellation(cycle13, capsys):
 )
 def test_asymptotic_rejects_constellation_with_gap_flags(cycle13, capsys, extra):
     assert main(["asymptotic", "--constellation", "2,10,2", "--cycle", cycle13, *extra]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_asymptotic_gap_rejects_cycle(cycle13, capsys):
+    # a gap's ratio is closed-form; a cycle would be read for nothing
+    assert main(["asymptotic", "--gap", "30", "--cycle", cycle13]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
@@ -314,6 +369,22 @@ def test_naive_error_cli(tmp_path, monkeypatch, capsys):
     assert est2 == est4
 
 
+@pytest.mark.parametrize(
+    "flags, targets",
+    [(["--gaps", "2", "--gaps", "4"], ["2", "4"]),
+     (["--constellation", "2,4", "--constellation", "4,2"], ["2,4", "4,2"]),
+     (["--constellation", "2,4", "--gaps", "2", "6", "--constellation", "6,6"],
+      ["2,4", "2", "6", "6,6"])],
+    ids=["gaps", "constellations", "mixed"],
+)
+def test_naive_error_keeps_every_target_in_order(tmp_path, monkeypatch, capsys, flags, targets):
+    monkeypatch.setenv("GAPSIEVE_CACHE_DIR", str(tmp_path / "cache"))
+    out = tmp_path / "err.csv"
+    assert main(["naive-error", "--pmin", "13", "--pmax", "13", *flags, "--csv", str(out)]) == 0
+    rows = [r.split(",") for r in out.read_text().splitlines()[2:]]
+    assert [",".join(r[2:-3]) for r in rows] == targets
+
+
 @pytest.mark.parametrize("target", ["g7-attrition", "table2", "table5", "fig5"])
 def test_reproduce_targets_pass(capsys, monkeypatch, tmp_path, target):
     monkeypatch.setenv("GAPSIEVE_CACHE_DIR", str(tmp_path))
@@ -326,6 +397,14 @@ def test_reproduce_targets_pass(capsys, monkeypatch, tmp_path, target):
 def test_reproduce_table3_requires_long(capsys):
     assert main(["reproduce", "table3"]) == 1
     assert "--long" in capsys.readouterr().err
+
+
+def test_reproduce_long_only_with_table3(capsys):
+    assert main(["reproduce", "table2", "--long"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "--long" in captured.err
 
 
 def test_unknown_constellation_string(cycle13, capsys):

@@ -1,4 +1,5 @@
 import random
+import struct
 
 import numpy as np
 import pytest
@@ -159,6 +160,7 @@ def test_cache_round_trip(tmp_path, g13):
     back = read_cache(str(path))
     assert back == g13
     assert back.gap_count == 5760
+    assert not back.gaps.flags.writeable
 
 
 def test_cache_mmap_read_stays_mapped(tmp_path, g13):
@@ -207,6 +209,24 @@ def test_cache_truncated(tmp_path, g5):
     path.write_bytes(raw[:-3])
     with pytest.raises(CacheFormatError):
         read_cache(str(path))
+
+
+@pytest.mark.parametrize("claim", [None, 2**62], ids=["truncated", "huge-count"])
+def test_cache_payload_length_checked_before_reading(tmp_path, g5, claim):
+    path = tmp_path / "bad.gapc"
+    write_cache(str(path), g5)
+    raw = bytearray(path.read_bytes())
+    if claim is None:
+        del raw[-3:]
+    else:  # the gap-count field follows magic, version, factor count and factors
+        struct.pack_into("<Q", raw, 6 + 8 * len(g5.factors), claim)
+    path.write_bytes(bytes(raw))
+    messages = set()
+    for mmap in (False, True):
+        with pytest.raises(CacheFormatError) as exc:
+            read_cache(str(path), mmap=mmap)
+        messages.add(str(exc.value))
+    assert len(messages) == 1
 
 
 def test_streaming_build_matches_in_memory(tmp_path, g13, monkeypatch):

@@ -211,15 +211,17 @@ def test_crossover_30_vs_6(g13):
     assert abs(result.root - 0.06275) <= 0.0005
 
 
-def test_approximate_prime_for_decay():
+def test_approximate_prime_for_decay(monkeypatch):
+    from gapsieve import dynsys
     from gapsieve.dynsys import approximate_prime_for_decay
 
+    monkeypatch.setattr(dynsys, "DECAY_ANCHOR", 10**4)
     a2_at_1e4 = eigenvalue_products(13, 10**4, 2)[2]
     # a target below the anchor extrapolates to a larger prime
-    far = approximate_prime_for_decay(a2_at_1e4 / 2, 13, anchor=10**4)
+    far = approximate_prime_for_decay(a2_at_1e4 / 2, 13)
     assert far > 10**4
     # a target above the anchor value is found by direct walking
-    near = approximate_prime_for_decay(min(2 * a2_at_1e4, 0.9), 13, anchor=10**4)
+    near = approximate_prime_for_decay(min(2 * a2_at_1e4, 0.9), 13)
     assert 13 < near < 10**4
 
 

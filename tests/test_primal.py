@@ -39,11 +39,12 @@ def test_primes_in_small_blocks_equal_one_shot(monkeypatch):
     assert primes_in(2, 10_000) == one_shot
 
 
-def test_primes_in_errors():
+def test_primes_in_errors(monkeypatch):
     with pytest.raises(ValueError):
         primes_in(10, 5)
+    monkeypatch.setattr(primal, "SIEVE_BUDGET", 50)
     with pytest.raises(CapacityError):
-        primes_in(2, 100, budget=50)
+        primes_in(2, 100)
 
 
 def test_primorial_values():

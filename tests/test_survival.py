@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from gapsieve import build_primorial_cycle
 from gapsieve.census import Constellation
-from gapsieve.primal import DEFAULT_SIEVE_BUDGET, CapacityError, primes_in
+from gapsieve.primal import SIEVE_BUDGET, CapacityError, primes_in
 from gapsieve.refvalues import ATTRITION_7_FOLDED, ATTRITION_13_OMITTED_PRIME
 from gapsieve.survival import (
     AttritionStep,
@@ -59,7 +59,7 @@ def test_actual_gap_count_degenerate_odd_gap():
 
 def test_actual_gap_count_budget():
     with pytest.raises(CapacityError):
-        actual_gap_count(2, DEFAULT_SIEVE_BUDGET + 1, 2)
+        actual_gap_count(2, SIEVE_BUDGET + 1, 2)
 
 
 def test_error_report_rows_and_csv(g13):
