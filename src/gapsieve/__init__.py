@@ -49,10 +49,8 @@ from .polignac import (
 )
 from .primal import (
     CapacityError,
-    SquarefreeModulus,
     phi_i,
     primes_in,
-    primorial,
     radical_of_even,
 )
 from .survival import (

@@ -64,11 +64,12 @@ class Census:
 
     counts[j] is the number of cyclic windows of j consecutive gaps that
     collapse to the target; counts[j1] is the population of the target
-    itself.  max_length is discovered by the scan, not assumed.
+    itself.  max_length is discovered by the scan, not assumed.  factors are
+    the primes of the cycle's modulus.
     """
 
     target: Constellation
-    modulus: int
+    factors: tuple[int, ...]
     counts: dict[int, int] = field(default_factory=dict)
 
     @property
@@ -127,7 +128,7 @@ def census_for(cycle: GapCycle, target: Constellation | int) -> Census:
     """
     t = as_constellation(target)
     boundaries = list(accumulate(t.gaps))
-    return Census(t, cycle.modulus, _window_counts(cycle.gaps, boundaries))
+    return Census(t, cycle.factors, _window_counts(cycle.gaps, boundaries))
 
 
 def population_count(cycle: GapCycle, target: Constellation | int) -> int:

@@ -7,6 +7,8 @@ output is deterministic for fixed inputs; metadata lines are prefixed '#'.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import os
 import sys
 from pathlib import Path
@@ -91,8 +93,10 @@ def cmd_census(args) -> int:
         raise ValueError(f"--max-len {args.max_len} is below the target length {longest}")
     cycle = cycle_mod.read_cache(args.cycle)
     cap = "" if args.max_len is None else f" max_len={args.max_len}"
-    lines = [f"# census modulus={cycle.modulus}{cap}",
-             "target,j,count,normalized_ratio" if args.normalize else "target,j,count"]
+    buf = io.StringIO()
+    buf.write(f"# census modulus={cycle.modulus}{cap}\n")
+    buf.write("target,j,count,normalized_ratio\n" if args.normalize else "target,j,count\n")
+    rows = csv.writer(buf, lineterminator="\n")  # quotes a constellation's commas
     for t in targets:
         c = census_mod.census_for(cycle, t)
         top = min(args.max_len or c.max_length, c.max_length)
@@ -101,11 +105,11 @@ def cmd_census(args) -> int:
             cols.append(dynsys.PopulationVector.from_census(c, top).ratios)
         cut = top < c.max_length
         print(f"{t}," + ",".join(map(str, cols[0])) + (" (truncated)" if cut else ""))
-        lines += [",".join(map(str, (t, j, *row))) for j, row in enumerate(zip(*cols), c.j1)]
+        rows.writerows((t, j, *row) for j, row in enumerate(zip(*cols), c.j1))
         if cut:
-            lines.append(f"# {t} truncated at max_len={top}; census max_length={c.max_length}")
+            buf.write(f"# {t} truncated at max_len={top}; census max_length={c.max_length}\n")
     if args.csv:
-        _write_text(args.csv, "\n".join(lines) + "\n")
+        _write_text(args.csv, buf.getvalue())
     return 0
 
 
@@ -156,11 +160,11 @@ def cmd_asymptotic(args) -> int:
 
 def cmd_repetition(args) -> int:
     spec = polignac.repetition_weight(args.gap, args.length)
-    w_part = polignac.partial_ratio(args.gap, spec.modulus.largest_factor)
+    w_part = polignac.partial_ratio(args.gap, spec.radical[-1])
     print("g,qbar,w_partial,w_infinity,feasible")
     w_inf = spec.w_infinity if spec.feasible else ""
     print(
-        f"{spec.g},{spec.modulus.largest_factor},{w_part},{w_inf},"
+        f"{spec.g},{spec.radical[-1]},{w_part},{w_inf},"
         f"{'true' if spec.feasible else 'false'}"
     )
     return 0

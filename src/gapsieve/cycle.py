@@ -1,10 +1,11 @@
-"""Cycles of gaps among the generators of Z mod N.
+"""Cycles of gaps among the generators of Z mod N, for squarefree N.
 
-A cycle is the circular sequence of differences between consecutive integers
-coprime to N, starting from 1; the first gap reaches the next generator and
-the last one wraps from N-1 to N+1.  Cycles for larger moduli are built by a
-one-pass merge over concatenated copies of the smaller cycle: while walking
-the candidate values, any candidate divisible by the new prime is dropped and
+N is held as the ascending tuple of its distinct primes.  A cycle is the
+circular sequence of differences between consecutive integers coprime to N,
+starting from 1; the first gap reaches the next generator and the last one
+wraps from N-1 to N+1.  Cycles for larger moduli are built by a one-pass
+merge over concatenated copies of the smaller cycle: while walking the
+candidate values, any candidate divisible by the new prime is dropped and
 its two neighboring gaps coalesce.  The walk keeps only the running candidate
 value, so its output goes chunk by chunk to either a preallocated array or a
 cache file.
@@ -17,6 +18,7 @@ memory-mapped cycle costs O(CHUNK_GAPS) extra memory.
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -27,10 +29,10 @@ import numpy as np
 from .primal import (
     PRIME_FACTOR_CAP,
     CapacityError,
-    SquarefreeModulus,
     factorize,
     is_prime,
     next_prime,
+    phi_i,
     prev_prime,
     primes_upto,
 )
@@ -46,34 +48,16 @@ class CacheFormatError(ValueError):
     """A cycle cache file is malformed."""
 
 
-def totient_from_factors(factors: Iterable[int]) -> int:
-    """Euler totient from a prime factor list that may repeat."""
-    seen: dict[int, int] = {}
-    for q in factors:
-        seen[q] = seen.get(q, 0) + 1
-    v = 1
-    for q, e in seen.items():
-        v *= (q - 1) * q ** (e - 1)
-    return v
-
-
 @dataclass(frozen=True, eq=False)
 class GapCycle:
-    """The cycle of gaps for a modulus, as a u16 array plus its factor list.
-
-    ``factors`` carries multiplicity (extending by a prime already dividing N
-    is plain concatenation and leaves the modulus non-squarefree).
-    """
+    """The cycle of gaps for a squarefree modulus, as a u16 array plus its primes."""
 
     factors: tuple[int, ...]
     gaps: np.ndarray = field(repr=False)
 
     @property
     def modulus(self) -> int:
-        v = 1
-        for q in self.factors:
-            v *= q
-        return v
+        return math.prod(self.factors)
 
     @property
     def gap_count(self) -> int:
@@ -81,8 +65,7 @@ class GapCycle:
 
     @property
     def is_primorial(self) -> bool:
-        distinct = sorted(set(self.factors))
-        return list(self.factors) == distinct and distinct == primes_upto(distinct[-1])
+        return list(self.factors) == primes_upto(self.prime)
 
     @property
     def prime(self) -> int:
@@ -157,17 +140,16 @@ def _merged_chunks(gaps: np.ndarray, q: int) -> Iterator[np.ndarray]:
 
 
 def extend_cycle(cycle: GapCycle, q: int) -> GapCycle:
-    """Cycle for q*N from the cycle for N.
+    """Cycle for q*N from the cycle for N, for a prime q not dividing N.
 
-    If q already divides N the result is q concatenated copies; otherwise one
-    merge pass removes the multiples of q, performing exactly phi(N) merges.
+    One merge pass removes the multiples of q, performing exactly phi(N) merges.
     """
     if not is_prime(q):
         raise ValueError(f"{q} is not prime")
+    if q in cycle.factors:
+        raise ValueError(f"repeated factor {q}")
     factors = tuple(sorted(cycle.factors + (q,)))
-    if cycle.modulus % q == 0:
-        return GapCycle(factors, np.tile(cycle.gaps, q))
-    out = np.empty(q * cycle.gap_count - totient_from_factors(cycle.factors), np.uint16)
+    out = np.empty((q - 1) * cycle.gap_count, np.uint16)
     filled = 0
     for chunk in _merged_chunks(cycle.gaps, q):
         out[filled : filled + len(chunk)] = chunk
@@ -197,8 +179,6 @@ def cycle_for_factors(factors: Iterable[int]) -> GapCycle:
         raise ValueError("need at least one prime factor")
     cycle = _UNIT_CYCLE
     for q in fs:
-        if cycle.modulus % q == 0:
-            raise ValueError(f"repeated factor {q}")
         cycle = extend_cycle(cycle, q)
     return cycle
 
@@ -214,25 +194,26 @@ def build_primorial_cycle_streaming(p: int, out_path: str) -> GapCycle:
     _check_stage(p)
     prev = _UNIT_CYCLE if p == 2 else build_primorial_cycle(prev_prime(p))
     factors = prev.factors + (p,)
-    _write_gapc(out_path, factors, totient_from_factors(factors), _merged_chunks(prev.gaps, p))
+    _write_gapc(out_path, factors, phi_i(1, factors), _merged_chunks(prev.gaps, p))
     return read_cache(out_path, mmap=True)
 
 
-def oracle_cycle(modulus: SquarefreeModulus | int) -> GapCycle:
+def oracle_cycle(n: int) -> GapCycle:
     """Independent construction by direct scan of [1, N+1] for coprimality.
 
-    Used to cross-check the recursive builder; N is capped at 1e8.
+    Used to cross-check the recursive builder, so it factors N itself; N must
+    be squarefree and is capped at 1e8.
     """
-    n = int(modulus)
     if n > 10**8:
         raise CapacityError(f"oracle scan of {n} exceeds the 1e8 cap")
-    factorization = factorize(n)
+    fs = tuple(q for q, _ in factorize(n))
+    if math.prod(fs) != n:
+        raise ValueError(f"{n} is not squarefree")
     coprime = np.ones(n + 2, dtype=bool)
     coprime[0] = False
-    for q, _ in factorization:
+    for q in fs:
         coprime[q::q] = False
     vals = np.flatnonzero(coprime)  # 1 .. N+1, both endpoints coprime
-    fs = tuple(q for q, e in factorization for _ in range(e))
     return _as_cycle(fs, np.diff(vals))
 
 
@@ -293,7 +274,7 @@ def verify_cycle(cycle: GapCycle, oracle: bool = False) -> CycleReport:
     details: dict[str, str] = {}
     n = cycle.modulus
     m = cycle.gap_count
-    phi = totient_from_factors(cycle.factors)
+    phi = phi_i(1, cycle.factors)
 
     checks["count"] = m == phi
     if not checks["count"]:
@@ -401,8 +382,8 @@ def read_cache(path: str, mmap: bool = False) -> GapCycle:
         if len(raw) != 8 * nfac + 8:
             raise CacheFormatError("truncated header")
         factors = struct.unpack(f"<{nfac}Q", raw[: 8 * nfac])
-        if list(factors) != sorted(factors):
-            raise CacheFormatError(f"factors not ascending: {factors}")
+        if list(factors) != sorted(set(factors)):
+            raise CacheFormatError(f"factors not strictly ascending: {factors}")
         (gap_count,) = struct.unpack("<Q", raw[8 * nfac :])
         offset = fh.tell()
         payload = os.fstat(fh.fileno()).st_size - offset
@@ -414,6 +395,6 @@ def read_cache(path: str, mmap: bool = False) -> GapCycle:
             gaps = np.frombuffer(fh.read(), dtype="<u2")
     # '<u2' is uint16 on little-endian hosts, so a mapped payload stays mapped
     cyc = GapCycle(tuple(int(f) for f in factors), gaps.astype(np.uint16, copy=False))
-    if totient_from_factors(cyc.factors) != gap_count:
+    if phi_i(1, cyc.factors) != gap_count:
         raise CacheFormatError("gap count inconsistent with factor list")
     return cyc

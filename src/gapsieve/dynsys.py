@@ -62,7 +62,7 @@ class PopulationVector:
     @classmethod
     def from_census(cls, census: Census, max_length: int | None = None) -> "PopulationVector":
         top = census.max_length if max_length is None else max_length
-        return cls(census.j1, tuple(census.vector(top)), phi_i(census.j1 + 1, census.modulus))
+        return cls(census.j1, tuple(census.vector(top)), phi_i(census.j1 + 1, census.factors))
 
     def padded(self, max_length: int) -> "PopulationVector":
         if max_length < self.max_length:

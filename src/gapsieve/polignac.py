@@ -16,7 +16,6 @@ from fractions import Fraction
 from .primal import (
     PRIME_FACTOR_CAP,
     CapacityError,
-    SquarefreeModulus,
     factorize,
     next_prime,
     phi_i,
@@ -48,14 +47,14 @@ def seeded_total(g: int) -> int:
     phi(Q) times prod (p - 2) over primes p < qbar not dividing Q.
     """
     rad = radical_of_even(g)
-    qbar = rad.largest_factor
+    qbar = rad[-1]
     if qbar > PRIME_FACTOR_CAP:
         raise CapacityError(
             f"largest factor {qbar} of {g} exceeds the stage cap {PRIME_FACTOR_CAP}"
         )
     total = phi_i(1, rad)
     for p in primes_upto(qbar - 1):
-        if rad.value % p != 0:
+        if p not in rad:
             total *= p - 2
     return total
 
@@ -68,7 +67,7 @@ class RepetitionSpec:
     j1: int
     feasible: bool
     w_infinity: Fraction | None
-    modulus: SquarefreeModulus
+    radical: tuple[int, ...]
 
 
 def repetition_weight(g: int, j1: int) -> RepetitionSpec:

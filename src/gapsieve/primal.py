@@ -1,8 +1,9 @@
-"""Prime generation, squarefree moduli, and generalized totients.
+"""Prime generation and generalized totients.
 
-Everything downstream (cycle construction, censuses, the population model)
-consumes primes and factorizations from this module.  Every prime list and
-block comes from one segmented sieve, ``sieve_segment``, so sieving a window
+A squarefree modulus, such as the primorial p# of a sieve stage, is written
+everywhere in the package as the ascending tuple of its distinct primes, and
+``phi_i`` over that tuple is the one totient.  Every prime list and block
+comes from one segmented sieve, ``sieve_segment``, so sieving a window
 [a, b] holds O(sqrt(b) + SIEVE_BLOCK) working memory at a time.  The trial
 division in ``is_prime`` and ``factorize`` serves single numbers: input checks
 and the tests' independent reference.
@@ -10,7 +11,6 @@ and the tests' independent reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
 from typing import Iterator
 
@@ -125,68 +125,21 @@ def factorize(n: int) -> list[tuple[int, int]]:
     return out
 
 
-@dataclass(frozen=True)
-class SquarefreeModulus:
-    """A product of distinct primes, with its factor list kept explicit.
-
-    The factor cap applies to cycle construction (see primorial), not here:
-    closed-form asymptotics handle radicals with arbitrarily large factors.
-    """
-
-    factors: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.factors:
-            raise ValueError("modulus needs at least one prime factor")
-        if list(self.factors) != sorted(set(self.factors)):
-            raise ValueError(f"factors must be distinct and ascending: {self.factors}")
-        for q in self.factors:
-            if not is_prime(q):
-                raise ValueError(f"{q} is not prime")
-
-    @property
-    def value(self) -> int:
-        v = 1
-        for q in self.factors:
-            v *= q
-        return v
-
-    @property
-    def largest_factor(self) -> int:
-        return self.factors[-1]
-
-    def __int__(self) -> int:
-        return self.value
-
-
-def primorial(p: int) -> SquarefreeModulus:
-    """The product of all primes up to and including p."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if p > PRIME_FACTOR_CAP:
-        raise CapacityError(f"primorial factor {p} exceeds cap {PRIME_FACTOR_CAP}")
-    return SquarefreeModulus(tuple(primes_upto(p)))
-
-
-def radical_of_even(g: int) -> SquarefreeModulus:
-    """The product of the distinct primes dividing an even g (2 included)."""
+def radical_of_even(g: int) -> tuple[int, ...]:
+    """The distinct primes dividing an even g (2 included), ascending."""
     if g < 2 or g % 2 != 0:
         raise ValueError(f"{g} is not a positive even integer")
-    return SquarefreeModulus(tuple(p for p, _ in factorize(g)))
+    return tuple(p for p, _ in factorize(g))
 
 
-def phi_i(i: int, modulus: SquarefreeModulus | int) -> int:
-    """Generalized totient: product of (q - i) over prime factors q > i.
+def phi_i(i: int, factors: tuple[int, ...]) -> int:
+    """Generalized totient of a squarefree modulus: prod (q - i) over its primes q > i.
 
-    An empty product is 1.  phi_i(1, .) is the Euler totient on squarefree
-    arguments.
+    ``factors`` are the modulus's distinct primes.  An empty product is 1,
+    and phi_i(1, .) is the Euler totient.
     """
     if i < 1:
         raise ValueError(f"offset must be >= 1, got {i}")
-    if isinstance(modulus, SquarefreeModulus):
-        factors = modulus.factors
-    else:
-        factors = tuple(p for p, _ in factorize(int(modulus)))
     v = 1
     for q in factors:
         if q > i:

@@ -13,6 +13,7 @@ cycle are then exactly 1 and the primes up to the modulus.
 
 from __future__ import annotations
 
+import csv
 import io
 from dataclasses import dataclass
 from fractions import Fraction
@@ -90,9 +91,10 @@ def error_report_csv(rows: Sequence[NaiveEstimateRow]) -> str:
     buf = io.StringIO()
     buf.write("# naive estimate vs true prime gaps over [p_next, p_next^2]\n")
     buf.write("p_k,p_next,target,estimate,actual,rel_error\n")
+    out = csv.writer(buf, lineterminator="\n")  # quotes a constellation's commas
     for r in rows:
         rel = "" if r.rel_error is None else f"{r.rel_error:.6f}"
-        buf.write(f"{r.p_k},{r.p_next},{r.target},{r.estimate:.6f},{r.actual},{rel}\n")
+        out.writerow((r.p_k, r.p_next, r.target, f"{r.estimate:.6f}", r.actual, rel))
     return buf.getvalue()
 
 

@@ -1,3 +1,4 @@
+import csv
 import sys
 from fractions import Fraction
 
@@ -9,6 +10,12 @@ from gapsieve.cli import main
 from gapsieve.cycle import build_primorial_cycle, read_cache, write_cache
 from gapsieve.dynsys import PopulationVector, iterate
 from gapsieve.primal import primes_in
+
+
+def csv_rows(path):
+    """The header and data rows of a CSV file, its '#' lines skipped."""
+    with open(path, newline="") as fh:
+        return list(csv.reader(line for line in fh if not line.startswith("#")))
 
 
 def built(tmp_path, prime):
@@ -144,7 +151,7 @@ def test_census_constellation_csv(cycle13, capsys):
     assert main(["census", "--cycle", cycle13, "--constellation", "2,10,2,10,2", "--csv", "-"]) == 0
     assert capsys.readouterr().out == (
         "2,10,2,10,2,52,44,48\n# census modulus=30030\ntarget,j,count\n"
-        "2,10,2,10,2,5,52\n2,10,2,10,2,6,44\n2,10,2,10,2,7,48\n"
+        '"2,10,2,10,2",5,52\n"2,10,2,10,2",6,44\n"2,10,2,10,2",7,48\n'
     )
 
 
@@ -176,8 +183,8 @@ def test_census_mixed_targets_in_command_line_order(cycle13, capsys):
     assert capsys.readouterr().out == (
         "2,10,2,216,288\n2,1485\n6,6,338,750,192\n"
         "# census modulus=30030\ntarget,j,count,normalized_ratio\n"
-        "2,10,2,3,216,8/7\n2,10,2,4,288,32/21\n2,1,1485,1\n"
-        "6,6,2,338,169/320\n6,6,3,750,75/64\n6,6,4,192,3/10\n"
+        '"2,10,2",3,216,8/7\n"2,10,2",4,288,32/21\n2,1,1485,1\n'
+        '"6,6",2,338,169/320\n"6,6",3,750,75/64\n"6,6",4,192,3/10\n'
     )
 
 
@@ -185,7 +192,7 @@ def test_census_normalize_is_the_population_vector_ratio(cycle13, tmp_path):
     out = tmp_path / "c.csv"
     assert main(["census", "--cycle", cycle13, "--constellation", "2,10,2,10,2", "--gap", "30",
                  "--max-len", "6", "--csv", str(out), "--normalize"]) == 0
-    rows = [r.split(",") for r in out.read_text().splitlines() if not r.startswith("#")][1:]
+    rows = csv_rows(out)[1:]
     g13 = read_cache(cycle13)
     expected = []
     for target in (Constellation.parse("2,10,2,10,2"), Constellation((30,))):
@@ -193,7 +200,7 @@ def test_census_normalize_is_the_population_vector_ratio(cycle13, tmp_path):
         v = PopulationVector.from_census(c, min(6, c.max_length))
         expected += [(str(target), j, e, r)
                      for j, e, r in zip(range(v.j1, v.max_length + 1), v.entries, v.ratios)]
-    assert [(",".join(r[:-3]), int(r[-3]), int(r[-2]), Fraction(r[-1])) for r in rows] == expected
+    assert [(t, int(j), int(e), Fraction(r)) for t, j, e, r in rows] == expected
 
 
 @pytest.mark.parametrize(
@@ -381,8 +388,20 @@ def test_naive_error_keeps_every_target_in_order(tmp_path, monkeypatch, capsys, 
     monkeypatch.setenv("GAPSIEVE_CACHE_DIR", str(tmp_path / "cache"))
     out = tmp_path / "err.csv"
     assert main(["naive-error", "--pmin", "13", "--pmax", "13", *flags, "--csv", str(out)]) == 0
-    rows = [r.split(",") for r in out.read_text().splitlines()[2:]]
-    assert [",".join(r[2:-3]) for r in rows] == targets
+    assert [r[2] for r in csv_rows(out)[1:]] == targets
+
+
+def test_constellation_csvs_parse_to_the_header_width(cycle13, tmp_path, monkeypatch):
+    monkeypatch.setenv("GAPSIEVE_CACHE_DIR", str(tmp_path / "cache"))
+    census_csv, error_csv = tmp_path / "c.csv", tmp_path / "e.csv"
+    assert main(["census", "--cycle", cycle13, "--gap", "2", "--constellation", "2,10,2",
+                 "--csv", str(census_csv), "--normalize"]) == 0
+    assert main(["naive-error", "--pmin", "11", "--pmax", "11", "--gaps", "2",
+                 "--constellation", "2,4", "--csv", str(error_csv)]) == 0
+    for path, targets in ((census_csv, ["2", "2,10,2", "2,10,2"]), (error_csv, ["2", "2,4"])):
+        header, *rows = csv_rows(path)
+        assert [len(r) for r in rows] == [len(header)] * len(targets)
+        assert [r[header.index("target")] for r in rows] == targets
 
 
 @pytest.mark.parametrize("target", ["g7-attrition", "table2", "table5", "fig5"])

@@ -16,11 +16,10 @@ from gapsieve.cycle import (
     oracle_cycle,
     read_cache,
     render_compact,
-    totient_from_factors,
     verify_cycle,
     write_cache,
 )
-from gapsieve.primal import primes_upto, primorial
+from gapsieve.primal import CapacityError, primes_upto
 from gapsieve.refvalues import (
     CYCLE_3_COMPACT,
     CYCLE_5_COMPACT,
@@ -47,12 +46,9 @@ def test_extend_by_new_prime(g5):
     assert extend_cycle(g3, 5) == g5
 
 
-def test_extend_by_dividing_prime_concatenates():
-    g3 = build_primorial_cycle(3)
-    doubled = extend_cycle(g3, 2)
-    assert doubled.gaps.tolist() == [4, 2, 4, 2]
-    assert doubled.modulus == 12
-    assert doubled.factors == (2, 2, 3)
+def test_extend_by_dividing_prime_rejected():
+    with pytest.raises(ValueError, match="repeated factor 2"):
+        extend_cycle(build_primorial_cycle(3), 2)
 
 
 def test_extend_nonprime_rejected(g5):
@@ -67,10 +63,25 @@ def test_extension_of_oracle_cycle_matches_oracle():
 
 
 def test_oracle_cycle_factoring():
-    # a repeated factor, a SquarefreeModulus argument, a factor above sqrt(N)
-    assert oracle_cycle(12) == extend_cycle(build_primorial_cycle(3), 2)
-    assert oracle_cycle(primorial(7)) == build_primorial_cycle(7)
+    # a primorial, and a factor above sqrt(N)
+    assert oracle_cycle(210) == build_primorial_cycle(7)
     assert oracle_cycle(194) == cycle_for_factors([2, 97])
+
+
+def test_oracle_cycle_rejects_non_squarefree():
+    with pytest.raises(ValueError, match="not squarefree"):
+        oracle_cycle(12)
+
+
+def test_primorial_cycle_rejects_nonprime_and_large(tmp_path):
+    out = tmp_path / "g.gapc"
+    for build in (build_primorial_cycle,
+                  lambda p: build_primorial_cycle_streaming(p, str(out))):
+        with pytest.raises(ValueError):
+            build(9)
+        with pytest.raises(CapacityError):
+            build(103)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_oracle_equivalence_primorials(g13):
@@ -149,11 +160,6 @@ def test_verify_cycle_palindrome_checked_in_chunks(g13, monkeypatch):
     assert "palindrome: FAIL" in report.lines()
 
 
-def test_totient_from_factors():
-    assert totient_from_factors((2, 3, 5)) == 8
-    assert totient_from_factors((2, 2, 3)) == 4
-
-
 def test_cache_round_trip(tmp_path, g13):
     path = tmp_path / "g13.gapc"
     write_cache(str(path), g13)
@@ -208,6 +214,16 @@ def test_cache_truncated(tmp_path, g5):
     raw = path.read_bytes()
     path.write_bytes(raw[:-3])
     with pytest.raises(CacheFormatError):
+        read_cache(str(path))
+
+
+def test_cache_rejects_repeated_factor(tmp_path):
+    # the modulus 12 as factors (2, 2, 3): a consistent totient, 4 gaps
+    path = tmp_path / "g12.gapc"
+    path.write_bytes(
+        b"GAPC" + struct.pack("<BB3QQ", 1, 3, 2, 2, 3, 4) + struct.pack("<4H", 4, 2, 4, 2)
+    )
+    with pytest.raises(CacheFormatError, match="strictly ascending"):
         read_cache(str(path))
 
 

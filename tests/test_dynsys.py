@@ -99,7 +99,7 @@ def test_iterate_single_step_equals_step():
 
 def test_normalized_step_keeps_entry_sum():
     # the all-ones left functional is invariant on the ratios
-    v = vec([1690, 1280, 0, 0, 0, 0, 0, 0], ref=phi_i(2, 30030))
+    v = vec([1690, 1280, 0, 0, 0, 0, 0, 0], ref=phi_i(2, tuple(primes_upto(13))))
     total = sum(v.ratios)
     w = step(v, 17)
     assert sum(w.ratios) == total

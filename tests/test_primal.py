@@ -1,18 +1,16 @@
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
 from gapsieve import primal
 from gapsieve.primal import (
     CapacityError,
-    SquarefreeModulus,
     factorize,
     is_prime,
     next_prime,
     phi_i,
     primes_in,
     primes_upto,
-    primorial,
     radical_of_even,
 )
 
@@ -47,24 +45,10 @@ def test_primes_in_errors(monkeypatch):
         primes_in(2, 100)
 
 
-def test_primorial_values():
-    assert primorial(5).value == 30
-    assert primorial(5).factors == (2, 3, 5)
-    assert primorial(7).value == 210
-    assert primorial(2).value == 2
-
-
-def test_primorial_rejects_nonprime_and_large():
-    with pytest.raises(ValueError):
-        primorial(9)
-    with pytest.raises(CapacityError):
-        primorial(103)
-
-
 def test_phi_i_examples():
-    assert phi_i(1, 30) == 8
-    assert phi_i(2, primorial(13)) == 1485
-    assert phi_i(4, 6) == 1
+    assert phi_i(1, (2, 3, 5)) == 8
+    assert phi_i(2, tuple(primes_upto(13))) == 1485
+    assert phi_i(4, (2, 3)) == 1
 
 
 def coprime_count(n: int) -> int:
@@ -74,23 +58,20 @@ def coprime_count(n: int) -> int:
 
 def test_phi_1_matches_brute_force_coprime_count():
     for p in (2, 3, 5, 7, 11, 13):
-        n = primorial(p)
-        assert phi_i(1, n) == coprime_count(n.value)
+        factors = tuple(primes_upto(p))
+        assert phi_i(1, factors) == coprime_count(prod(factors))
 
 
 def test_phi_i_ignores_small_factors():
     # removing a factor q <= i leaves the value unchanged
-    assert phi_i(3, SquarefreeModulus((2, 3, 5, 7))) == phi_i(3, SquarefreeModulus((5, 7)))
-    assert phi_i(5, SquarefreeModulus((2, 3, 5, 11))) == phi_i(5, SquarefreeModulus((11,)))
+    assert phi_i(3, (2, 3, 5, 7)) == phi_i(3, (5, 7))
+    assert phi_i(5, (2, 3, 5, 11)) == phi_i(5, (11,))
 
 
 def test_radical_of_even():
-    assert radical_of_even(30).value == 30
-    assert radical_of_even(30).largest_factor == 5
-    assert radical_of_even(12).value == 6
-    assert radical_of_even(12).largest_factor == 3
-    assert radical_of_even(74).value == 74
-    assert radical_of_even(74).largest_factor == 37
+    assert radical_of_even(30) == (2, 3, 5)
+    assert radical_of_even(12) == (2, 3)
+    assert radical_of_even(74) == (2, 37)
     with pytest.raises(ValueError):
         radical_of_even(9)
 
