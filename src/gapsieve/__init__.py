@@ -27,13 +27,10 @@ from .cycle import (
     write_cache,
 )
 from .dynsys import (
-    CrossoverResult,
     PopulationVector,
-    SystemMatrices,
     Validity,
     asymptotic_ratio,
     crossover,
-    eigendecompose,
     eigenvalue_products,
     iterate,
     polynomial_approx,

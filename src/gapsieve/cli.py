@@ -17,7 +17,7 @@ from . import census as census_mod
 from . import cycle as cycle_mod
 from . import dynsys, polignac, refvalues, survival
 from .census import Constellation
-from .primal import CapacityError, primes_in
+from .primal import CapacityError, primes_in, primes_upto
 
 CACHE_ENV = "GAPSIEVE_CACHE_DIR"
 PRINT_LIMIT = 100_000  # refuse to dump larger cycles to stdout
@@ -30,7 +30,10 @@ def load_or_build_cycle(p: int) -> cycle_mod.GapCycle:
         return cycle_mod.build_primorial_cycle(p)
     path = Path(d) / f"g{p}.gapc"
     if path.exists():
-        return cycle_mod.read_cache(str(path))
+        cycle = cycle_mod.read_cache(str(path))
+        if list(cycle.factors) != primes_upto(p):
+            raise cycle_mod.CacheFormatError(f"{path} holds modulus {cycle.modulus}, not stage {p}")
+        return cycle
     path.parent.mkdir(parents=True, exist_ok=True)
     return cycle_mod.build_primorial_cycle_streaming(p, str(path))
 
@@ -68,7 +71,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cycle = cycle_mod.read_cache(args.cycle)
+    cycle = cycle_mod.read_cache(args.cycle, mmap=True)
     report = cycle_mod.verify_cycle(cycle, oracle=args.oracle)
     for line in report.lines():
         print(line)
@@ -91,7 +94,7 @@ def cmd_census(args) -> int:
     longest = max(t.length for t in targets)
     if args.max_len is not None and args.max_len < longest:
         raise ValueError(f"--max-len {args.max_len} is below the target length {longest}")
-    cycle = cycle_mod.read_cache(args.cycle)
+    cycle = cycle_mod.read_cache(args.cycle, mmap=True)
     cap = "" if args.max_len is None else f" max_len={args.max_len}"
     buf = io.StringIO()
     buf.write(f"# census modulus={cycle.modulus}{cap}\n")
@@ -114,7 +117,7 @@ def cmd_census(args) -> int:
 
 
 def cmd_model(args) -> int:
-    cycle = cycle_mod.read_cache(args.cycle)
+    cycle = cycle_mod.read_cache(args.cycle, mmap=True)
     p0 = cycle.prime
     pk = args.to_prime
     if pk <= p0:
@@ -141,7 +144,7 @@ def cmd_asymptotic(args) -> int:
         if not args.cycle:
             raise ValueError("--constellation needs --cycle FILE for initial conditions")
         s = Constellation.parse(args.constellation)
-        cycle = cycle_mod.read_cache(args.cycle)
+        cycle = cycle_mod.read_cache(args.cycle, mmap=True)
         if dynsys.validity(s, cycle.prime) is dynsys.Validity.INVALID:
             raise ValueError(
                 f"constellation {s} is not valid at stage {cycle.prime}; "
@@ -154,7 +157,8 @@ def cmd_asymptotic(args) -> int:
         raise ValueError("pass --gap G or --constellation LIST")
     if args.cycle:
         raise ValueError("--cycle applies to --constellation only; a gap's ratio is closed-form")
-    print(polignac.partial_ratio(args.gap, args.at_prime or args.gap))
+    at_prime = args.gap if args.at_prime is None else args.at_prime
+    print(polignac.partial_ratio(args.gap, at_prime))
     return 0
 
 
@@ -179,20 +183,20 @@ def cmd_ajk(args) -> int:
 
 
 def cmd_crossover(args) -> int:
-    cycle = cycle_mod.read_cache(args.cycle)
-    result = dynsys.crossover(_model_vector(cycle, args.gap_a), _model_vector(cycle, args.gap_b))
-    if result is None:
+    cycle = cycle_mod.read_cache(args.cycle, mmap=True)
+    root = dynsys.crossover(_model_vector(cycle, args.gap_a), _model_vector(cycle, args.gap_b))
+    if root is None:
         print("no crossover")
         return 0
-    print(f"a2* = {result.root:.6f}")
+    print(f"a2* = {root:.6f}")
     if args.map_prime:
-        approx = dynsys.approximate_prime_for_decay(result.root, cycle.prime)
+        approx = dynsys.approximate_prime_for_decay(root, cycle.prime)
         print(f"approximate stage prime ~ {approx:.3e}")
     return 0
 
 
 def cmd_attrition(args) -> int:
-    cycle = cycle_mod.read_cache(args.cycle)
+    cycle = cycle_mod.read_cache(args.cycle, mmap=True)
     trace = survival.attrition(cycle)
     ps = trace.sieve_primes
     stages = f"stages {ps[0]}..{ps[-1]}" if ps else "no sieving primes"

@@ -217,13 +217,11 @@ def oracle_cycle(n: int) -> GapCycle:
     return _as_cycle(fs, np.diff(vals))
 
 
-def render_compact(gaps: np.ndarray | GapCycle) -> str:
+def render_compact(cycle: GapCycle) -> str:
     """Digit-string form: single-digit gaps concatenate, larger ones get commas."""
-    if isinstance(gaps, GapCycle):
-        gaps = gaps.gaps
     parts: list[str] = []
     prev_wide = False
-    for g in gaps.tolist():
+    for g in cycle.gaps.tolist():
         wide = g >= 10
         if parts and (wide or prev_wide):
             parts.append(",")

@@ -5,7 +5,10 @@ stage at prime p multiplies by an upper-bidiagonal matrix whose diagonal is
 (p - j - 1) and whose superdiagonal feeds j from j+1 with weight (j + 1 - j1).
 The matrix factors exactly as R * Lambda * L with Pascal-triangular R and L
 independent of p, so products across stages stay diagonal; asymptotics drop
-out of the first left eigenvector, which is all ones.
+out of the first left eigenvector, which is all ones.  No matrix is built:
+step applies the stage, and polynomial_approx applies L to the ratios, so
+the tests check L * M = Lambda * L through the two, coefficient m scaling by
+(p - j1 - 1 - m) / (p - j1 - 1) per stage.
 
 Counts are exact integers and ratios exact rationals; only the long
 eigenvalue products accumulate in log space.
@@ -69,40 +72,6 @@ class PopulationVector:
             raise ValueError("cannot shrink a population vector")
         extra = (0,) * (max_length - self.max_length)
         return PopulationVector(self.j1, self.entries + extra, self.ref)
-
-
-@dataclass(frozen=True)
-class SystemMatrices:
-    """One stage's transfer matrix with its exact eigenstructure, on raw counts."""
-
-    p: int
-    j1: int
-    max_length: int
-    M: tuple[tuple[int, ...], ...]
-    R: tuple[tuple[int, ...], ...]
-    L: tuple[tuple[int, ...], ...]
-    eigenvalues: tuple[int, ...]
-
-
-def eigendecompose(p: int, j1: int, max_length: int) -> SystemMatrices:
-    """Build M, R, Lambda, L exactly; M == R @ diag(Lambda) @ L."""
-    if max_length < j1:
-        raise ValueError(f"max_length {max_length} below j1 {j1}")
-    if p <= max_length + 1:
-        raise ValueError(f"stage prime {p} must exceed max length {max_length} + 1")
-    d = max_length - j1 + 1
-    M = [[0] * d for _ in range(d)]
-    for i, j in enumerate(range(j1, max_length + 1)):
-        M[i][i] = p - j - 1
-        if i + 1 < d:
-            M[i][i + 1] = j + 1 - j1
-    R = tuple(
-        tuple((-1) ** (i + j) * comb(j, i) if i <= j else 0 for j in range(d))
-        for i in range(d)
-    )
-    L = tuple(tuple(comb(j, i) if i <= j else 0 for j in range(d)) for i in range(d))
-    eig = tuple(p - j - 1 for j in range(j1, max_length + 1))
-    return SystemMatrices(p, j1, max_length, tuple(tuple(r) for r in M), R, L, eig)
 
 
 def step(v: PopulationVector, p: int) -> PopulationVector:
@@ -215,18 +184,13 @@ CROSSOVER_TOL = 1e-6
 DECAY_ANCHOR = 10**6
 
 
-@dataclass
-class CrossoverResult:
-    root: float  # second-eigenvalue-product value where the two targets tie
-    sign_at_zero: int  # sign of (A - B) in the asymptotic limit
+def crossover(va: PopulationVector, vb: PopulationVector) -> float | None:
+    """Smallest root in (0, 1] of the difference of decay polynomials.
 
-
-def crossover(va: PopulationVector, vb: PopulationVector) -> CrossoverResult | None:
-    """Smallest root in (0, 1) of the difference of decay polynomials.
-
-    Returns None when the difference polynomial never changes sign on the
-    grid (no crossover).  Sign evaluation is exact rational; only the final
-    bracket is reported as a float.
+    The root is the second-eigenvalue-product value where the two targets
+    tie.  Returns None when the difference polynomial never changes sign on
+    the grid (no crossover).  Sign evaluation is exact rational; only the
+    final bracket's midpoint is reported as a float.
     """
     if va.j1 != vb.j1:
         raise ValueError("crossover needs a common base length")
@@ -241,7 +205,7 @@ def crossover(va: PopulationVector, vb: PopulationVector) -> CrossoverResult | N
         return evaluate_polynomial(diff, x)
 
     prev_x = Fraction(0)
-    s0 = prev = d(prev_x)
+    prev = d(prev_x)
     for k in range(1, CROSSOVER_GRID + 1):
         x = Fraction(k, CROSSOVER_GRID)
         cur = d(x)
@@ -254,17 +218,18 @@ def crossover(va: PopulationVector, vb: PopulationVector) -> CrossoverResult | N
         prev_x, prev = x, cur
     else:
         return None
+    lo_negative = prev < 0  # d keeps this sign at every lo the bisection moves to
     while float(hi - lo) > CROSSOVER_TOL:
         mid = (lo + hi) / 2
-        if d(mid) == 0:
+        at_mid = d(mid)
+        if at_mid == 0:
             lo = hi = mid
             break
-        if (d(lo) < 0) != (d(mid) < 0):
+        if lo_negative != (at_mid < 0):
             hi = mid
         else:
             lo = mid
-    sign = 0 if s0 == 0 else (1 if s0 > 0 else -1)
-    return CrossoverResult(float((lo + hi) / 2), sign)
+    return float((lo + hi) / 2)
 
 
 def approximate_prime_for_decay(a2_target: float, p0: int) -> float:

@@ -42,14 +42,9 @@ def actual_gap_count(a: int, b: int, target: Constellation | int) -> int:
     """Occurrences of the target among consecutive prime gaps inside [a, b].
 
     The whole constellation must lie inside the interval: its first and last
-    primes are both in [a, b].  The degenerate gap 1 (from 2 to 3) is
-    admitted so the one odd prime gap remains countable.  The interval is
-    checked as primes_in checks it.
+    primes are both in [a, b].  The interval is checked as primes_in checks it.
     """
-    if isinstance(target, int) and target == 1:
-        pattern = [1]
-    else:
-        pattern = list(as_constellation(target).gaps)
+    pattern = list(as_constellation(target).gaps)
     ps = primes_in(a, b)
     if len(ps) < len(pattern) + 1:
         return 0

@@ -2,6 +2,7 @@ import csv
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from gapsieve import cycle as cycle_mod
@@ -78,6 +79,27 @@ def test_unreadable_cycle_path_exits_1(tmp_path, capsys, command, where):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["verify"], ["census", "--gap", "2"], ["model", "--gap", "2", "--to-prime", "17"],
+     ["asymptotic", "--constellation", "2,10,2"], ["crossover", "--gap-a", "30", "--gap-b", "6"],
+     ["attrition"]],
+    ids=lambda c: c[0],
+)
+def test_cycle_file_is_read_memory_mapped(cycle13, monkeypatch, capsys, command):
+    read = cycle_mod.read_cache
+    cycles = []
+
+    def recorded_read(*args, **kwargs):
+        cycles.append(read(*args, **kwargs))
+        return cycles[-1]
+
+    monkeypatch.setattr(cycle_mod, "read_cache", recorded_read)
+    assert main([*command, "--cycle", cycle13]) == 0
+    assert len(cycles) == 1
+    assert isinstance(cycles[0].gaps, np.memmap)
 
 
 @pytest.mark.parametrize(
@@ -264,6 +286,9 @@ def test_asymptotic_gap(capsys):
     assert capsys.readouterr().out.strip() == "8/3"
     assert main(["asymptotic", "--gap", "74", "--at-prime", "31"]) == 0
     assert capsys.readouterr().out.strip() == "1"
+    # --at-prime 0 is a stage, not unset: no odd factor of 30 is <= 0
+    assert main(["asymptotic", "--gap", "30", "--at-prime", "0"]) == 0
+    assert capsys.readouterr().out.strip() == "1"
 
 
 def test_asymptotic_constellation(cycle13, capsys):
@@ -374,6 +399,22 @@ def test_naive_error_cli(tmp_path, monkeypatch, capsys):
     est2 = lines[2].split(",")[3]
     est4 = lines[3].split(",")[3]
     assert est2 == est4
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["naive-error", "--pmin", "13", "--pmax", "13", "--gaps", "2", "--csv", "-"],
+     ["reproduce", "table2"]],
+    ids=lambda a: a[0],
+)
+def test_cache_dir_refuses_a_file_of_another_stage(tmp_path, monkeypatch, capsys, argv):
+    path = tmp_path / "g13.gapc"
+    write_cache(str(path), build_primorial_cycle(11))
+    monkeypatch.setenv("GAPSIEVE_CACHE_DIR", str(tmp_path))
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path} holds modulus 2310, not stage 13\n"
 
 
 @pytest.mark.parametrize(

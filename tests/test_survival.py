@@ -51,10 +51,11 @@ def test_actual_gap_count_constellation():
     assert actual_gap_count(11, 121, Constellation((2, 4))) == pairs
 
 
-def test_actual_gap_count_degenerate_odd_gap():
-    assert actual_gap_count(2, 10, 1) == 1
-    with pytest.raises(ValueError):
-        actual_gap_count(2, 10, 3)
+def test_actual_gap_count_rejects_odd_gaps():
+    # the gap 1 from 2 to 3 too: every target is a Constellation of even gaps
+    for gap in (1, 3):
+        with pytest.raises(ValueError, match="positive even"):
+            actual_gap_count(2, 10, gap)
 
 
 def test_actual_gap_count_budget():
