@@ -3,9 +3,9 @@
 All window counts here are cyclic: windows may wrap past the end of the
 cycle (and around it more than once when the target sum exceeds the modulus).
 Because every gap is positive, at most one window of a given start index can
-sum to the target, so one kernel (prefix sums and exact searchsorted hits,
-slice by slice through ``cycle.cyclic_slices``) counts gaps and
-constellations alike: a gap is a length-1 constellation.
+sum to the target, so one kernel (prefix sums looked up in a per-slice
+position table, slice by slice through ``cycle.cyclic_slices``) counts gaps
+and constellations alike: a gap is a length-1 constellation.
 """
 
 from __future__ import annotations
@@ -100,23 +100,32 @@ def _window_counts(gaps: np.ndarray, boundaries: list[int]) -> dict[int, int]:
 
     Each slice of start positions is read together with enough following
     gaps to close any window of sum boundaries[-1].  Gaps are positive, so
-    the candidate values (prefix sums) are strictly increasing and each start
-    value plus a boundary is found by one exact searchsorted hit; starts that
-    miss a boundary drop out before the next one.
+    the candidate values (prefix sums) are distinct, and a position table
+    ``pos`` over the slice's value range maps each candidate value to its
+    index and every other value to -1.  Each boundary is then one gather per
+    start: the interior boundaries AND into a hit mask, and the last one
+    gives the window's end index.  The table costs O(slice) memory whatever
+    the span.  No lookup passes the last value: every start is followed by
+    more than boundaries[-1] // min(gaps) gaps, which sum past
+    boundaries[-1].
     """
     # a window of span s holds at most s // min_gap gaps
     extra = boundaries[-1] // int(gaps.min())
     counts = np.zeros(extra + 1, dtype=np.int64)
     for n, part in cyclic_slices(gaps, len(gaps), extra):
         values = np.concatenate(([0], np.cumsum(part, dtype=np.int64)))
-        first = np.arange(n)
-        for b in boundaries:
-            want = values[first] + b
-            last = np.searchsorted(values, want)
-            hit = values[last] == want
-            first, last = first[hit], last[hit]
-        counts += np.bincount(last - first, minlength=extra + 1)
-    return {j: int(c) for j, c in enumerate(counts) if c}
+        index = np.arange(len(values), dtype=np.int32)
+        pos = np.full(int(values[-1]) + 1, -1, dtype=np.int32)
+        pos[values] = index
+        start = values[:n]
+        # pos[b:][start] is pos[start + b]
+        last = pos[boundaries[-1] :][start]
+        hit = last >= 0
+        for b in boundaries[:-1]:
+            hit &= pos[b:][start] >= 0
+        # a window holds at least one gap, so length 0 marks a miss
+        counts += np.bincount((last - index[:n]) * hit, minlength=extra + 1)
+    return {j: int(c) for j, c in enumerate(counts[1:], start=1) if c}
 
 
 def census_for(cycle: GapCycle, target: Constellation | int) -> Census:

@@ -30,7 +30,7 @@ def load_or_build_cycle(p: int) -> cycle_mod.GapCycle:
         return cycle_mod.build_primorial_cycle(p)
     path = Path(d) / f"g{p}.gapc"
     if path.exists():
-        cycle = cycle_mod.read_cache(str(path))
+        cycle = cycle_mod.read_cache(str(path), mmap=True)
         if list(cycle.factors) != primes_upto(p):
             raise cycle_mod.CacheFormatError(f"{path} holds modulus {cycle.modulus}, not stage {p}")
         return cycle

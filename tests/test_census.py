@@ -16,7 +16,7 @@ from gapsieve.cycle import (
     extend_cycle,
     oracle_cycle,
 )
-from gapsieve.dynsys import PopulationVector, iterate
+from gapsieve.dynsys import PopulationVector, Validity, iterate, validity
 from gapsieve.primal import primes_upto
 from gapsieve.refvalues import GAP_CENSUS_13
 
@@ -176,6 +176,7 @@ def squarefree_factors(draw, even=False):
 @example((2, 3), [4, 2, 4, 2, 4])  # the target is the two-gap cycle run 2.5 times
 @example((3, 5), [10, 2, 30, 4])  # span 46 over modulus 15
 @example((2, 3, 5), [40])
+@example((2, 3, 5, 7), [210])  # span = the modulus: each start's window is the whole cycle
 def test_kernel_matches_brute_force(factors, target):
     cyc = _cycle(factors)
     s = Constellation(tuple(target))
@@ -259,3 +260,18 @@ def test_stage19_census_matches_model(g13):
     seed = PopulationVector.from_census(census_for(g13, 30))
     expected = [int(e) for e in iterate(seed, 13, 19).entries]
     assert census_for(build_primorial_cycle(19), 30).vector() == expected
+
+
+# every gap and every 2-gap constellation of span <= 32, all Validity.FULL from stage 13
+MODEL_TARGETS = [Constellation((g,)) for g in range(2, 33, 2)] + [
+    Constellation((a, b)) for a in range(2, 31, 2) for b in range(2, 33 - a, 2)
+]
+
+
+def test_kernel_matches_population_model(g13):
+    assert len(MODEL_TARGETS) == 136
+    g17 = build_primorial_cycle(17)
+    for s in MODEL_TARGETS:
+        assert validity(s, 13) is Validity.FULL
+        model = iterate(PopulationVector.from_census(census_for(g13, s)), 13, 17)
+        assert census_for(g17, s).vector(model.max_length) == list(model.entries), s

@@ -30,6 +30,20 @@ def cycle13(tmp_path):
     return built(tmp_path, 13)
 
 
+@pytest.fixture
+def cache_reads(monkeypatch):
+    """The cycles that ``read_cache`` returns while a test runs, in call order."""
+    read = cycle_mod.read_cache
+    cycles = []
+
+    def recorded_read(*args, **kwargs):
+        cycles.append(read(*args, **kwargs))
+        return cycles[-1]
+
+    monkeypatch.setattr(cycle_mod, "read_cache", recorded_read)
+    return cycles
+
+
 def test_build_prints_compact(capsys):
     assert main(["build", "--prime", "5"]) == 0
     assert capsys.readouterr().out.strip() == "64242462"
@@ -88,18 +102,10 @@ def test_unreadable_cycle_path_exits_1(tmp_path, capsys, command, where):
      ["attrition"]],
     ids=lambda c: c[0],
 )
-def test_cycle_file_is_read_memory_mapped(cycle13, monkeypatch, capsys, command):
-    read = cycle_mod.read_cache
-    cycles = []
-
-    def recorded_read(*args, **kwargs):
-        cycles.append(read(*args, **kwargs))
-        return cycles[-1]
-
-    monkeypatch.setattr(cycle_mod, "read_cache", recorded_read)
+def test_cycle_file_is_read_memory_mapped(cycle13, cache_reads, capsys, command):
     assert main([*command, "--cycle", cycle13]) == 0
-    assert len(cycles) == 1
-    assert isinstance(cycles[0].gaps, np.memmap)
+    assert len(cache_reads) == 1
+    assert isinstance(cache_reads[0].gaps, np.memmap)
 
 
 @pytest.mark.parametrize(
@@ -415,6 +421,20 @@ def test_cache_dir_refuses_a_file_of_another_stage(tmp_path, monkeypatch, capsys
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {path} holds modulus 2310, not stage 13\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["naive-error", "--pmin", "13", "--pmax", "13", "--gaps", "2", "--csv", "-"],
+     ["reproduce", "table2"]],
+    ids=lambda a: a[0],
+)
+def test_cache_dir_cycle_is_read_memory_mapped(tmp_path, monkeypatch, cache_reads, capsys, argv):
+    write_cache(str(tmp_path / "g13.gapc"), build_primorial_cycle(13))
+    monkeypatch.setenv("GAPSIEVE_CACHE_DIR", str(tmp_path))
+    assert main(argv) == 0
+    assert len(cache_reads) == 1
+    assert isinstance(cache_reads[0].gaps, np.memmap)
 
 
 @pytest.mark.parametrize(

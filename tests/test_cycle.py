@@ -173,6 +173,7 @@ def test_cache_mmap_read_stays_mapped(tmp_path, g13):
     path = tmp_path / "g13.gapc"
     write_cache(str(path), g13)
     mapped = read_cache(str(path), mmap=True)
+    assert isinstance(mapped.gaps, np.memmap)
     assert not mapped.gaps.flags.owndata
     assert mapped == read_cache(str(path))
 
