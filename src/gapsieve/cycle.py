@@ -4,11 +4,13 @@ N is held as the ascending tuple of its distinct primes.  A cycle is the
 circular sequence of differences between consecutive integers coprime to N,
 starting from 1; the first gap reaches the next generator and the last one
 wraps from N-1 to N+1.  Cycles for larger moduli are built by a one-pass
-merge over concatenated copies of the smaller cycle: while walking the
-candidate values, any candidate divisible by the new prime is dropped and
-its two neighboring gaps coalesce.  The walk keeps only the running candidate
-value, so its output goes chunk by chunk to either a preallocated array or a
-cache file.
+merge over q concatenated copies of the smaller cycle: any candidate
+divisible by the new prime q is dropped and its two neighboring gaps
+coalesce.  The candidate ending gap i of copy k is kN + v_i, a multiple of q
+in exactly one copy, so one pass fills a one-byte table of that copy per
+gap; the walk then drops, copy by copy, the gaps the table marks and adds
+each run of dropped gaps into the next kept one, in u16.  Its output goes
+chunk by chunk to either a preallocated array or a cache file.
 
 Every pass over a cycle (the merge walk, the census kernel, population
 counts and verification) reads it through ``cyclic_slices``, so a
@@ -115,28 +117,87 @@ def cyclic_slices(
             yield n, np.take(gaps, np.arange(start, start + n + extra), mode="wrap")
 
 
+def _copy_table(gaps: np.ndarray, q: int) -> np.ndarray:
+    """copy_of[i]: the copy k < q of the cycle in which q divides the end of gap i.
+
+    Gap i ends at v = 1 + gaps[0] + ... + gaps[i], and kN + v is a multiple of
+    q exactly when k = -v/N mod q.  One slice-by-slice pass fills the table;
+    q <= PRIME_FACTOR_CAP < 256, so a copy index fits in a byte.
+    """
+    n_inv = pow(int(gaps.sum(dtype=np.int64)) % q, -1, q)
+    copy_for = np.array([-r * n_inv % q for r in range(q)], dtype=np.uint8)
+    copy_of = np.empty(len(gaps), dtype=np.uint8)
+    value = 1  # the value at the start of the pending slice
+    for lo, (n, part) in zip(range(0, len(gaps), CHUNK_GAPS), cyclic_slices(gaps, len(gaps))):
+        ends = value + np.cumsum(part, dtype=np.int64)
+        copy_of[lo : lo + n] = copy_for[ends % q]
+        value = int(ends[-1])
+    return copy_of
+
+
 def _merged_chunks(gaps: np.ndarray, q: int) -> Iterator[np.ndarray]:
     """Yield the gaps of the extended cycle in u16 chunks.
 
-    Walks q concatenated copies of ``gaps`` slice by slice, tracking the
-    running candidate value; candidates divisible by q are dropped, which
-    merges the pending gap into the next one.  The start value 1 and the end
-    value qN+1 are congruent to 1 mod q, so the walk never merges across the
-    wrap.
+    Walks q copies of ``gaps``; copy k drops the gaps i with copy_of[i] = k
+    (``_copy_table``), and each dropped gap adds into the next kept one.  In
+    a block, the j-th dropped gap, at position d, adds into output gap d - j,
+    which is constant along a run of consecutive drops, so one reduceat sums
+    each run.  A run that reaches the end of a block carries into the next
+    block, across copy ends too; the end value qN+1 is 1 mod q, so nothing
+    carries past the last copy.  A cycle shorter than a slice is walked a
+    block of whole copies at a time.
     """
-    value = 1  # candidate value at the start of the pending slice
-    last_kept = 1
-    for _, part in cyclic_slices(gaps, q * len(gaps)):
-        vals = value + np.cumsum(part, dtype=np.int64)
-        kept = vals[vals % q != 0]
-        if len(kept):
-            out = np.diff(kept, prepend=last_kept)
-            mx = int(out.max())
+    m = len(gaps)
+    copy_of = _copy_table(gaps, q)
+    per = min(CHUNK_GAPS // m, q)  # whole copies per block
+    if per > 1:
+        # copy k0 + t drops where copy_of - t equals k0; per <= q, so that fits in an int8
+        tile_gaps = np.concatenate([gaps] * per)
+        tile_copy = (copy_of.astype(np.int8) - np.arange(per, dtype=np.int8)[:, None]).ravel()
+        blocks = (
+            (k0, tile_gaps[: min(per, q - k0) * m], tile_copy[: min(per, q - k0) * m])
+            for k0 in range(0, q, per)
+        )
+    else:
+        blocks = (
+            (k, part, copy_of[lo : lo + n])
+            for k in range(q)
+            for lo, (n, part) in zip(range(0, m, CHUNK_GAPS), cyclic_slices(gaps, m))
+        )
+    carry = 0  # the dropped gaps that ran to the end of the last block
+    for k, part, table in blocks:
+        dropped = table == k
+        drop = dropped.nonzero()[0]
+        if not len(drop) and not carry:
+            yield part
+            continue
+        out = part[~dropped]
+        at = drop - np.arange(len(drop))  # the output gap each dropped gap adds into
+        new_run = at[1:] != at[:-1]
+        if new_run.all():  # no two drops in a row
+            sums = part[drop].astype(np.int64)
+        else:
+            starts = np.concatenate(([True], new_run)).nonzero()[0]
+            sums = np.add.reduceat(part[drop], starts, dtype=np.int64)
+            at = at[starts]
+        if carry:
+            if len(at) and at[0] == 0:
+                sums[0] += carry
+            else:
+                at, sums = np.insert(at, 0, 0), np.insert(sums, 0, carry)
+        carry = 0
+        if len(at) and at[-1] == len(out):  # the last run reaches the block end
+            carry = int(sums[-1])
+            at, sums = at[:-1], sums[:-1]
+        if len(at):
+            merged = out[at] + sums
+            mx = int(merged.max())
             if mx > GAP_LIMIT:
                 raise CapacityError(f"gap {mx} exceeds u16 storage")
-            last_kept = int(kept[-1])
-            yield out.astype(np.uint16)
-        value = int(vals[-1])
+            out[at] = merged
+        yield out
+    if carry:
+        raise AssertionError(f"dropped gaps summing to {carry} ran past the last copy")
 
 
 def extend_cycle(cycle: GapCycle, q: int) -> GapCycle:

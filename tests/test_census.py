@@ -199,6 +199,24 @@ def test_cycle_for_factors_matches_oracle(factors):
         assert cycle_for_factors(factors) == expected
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sets(st.sampled_from(primes_upto(47)), max_size=5).map(prod).filter(lambda n: n <= 10**4),
+    st.sampled_from(primes_upto(47)),
+)
+@example(15, 2)  # 2 and 4 drop in a row, and so do 14 and the copy-0 end value 16
+@example(3, 2)  # 2 and 4 drop in a row: the run ends at the copy-0 end
+@example(105, 2)  # 2, 4 and 8 drop in a row, and so do 104 and the copy-0 end value 106
+def test_extend_cycle_matches_oracle(n, q):
+    # q may be smaller than n's factors, so runs of dropped candidates and
+    # carries across slice and copy ends occur
+    assume(n % q)
+    expected = oracle_cycle(n * q)
+    assert extend_cycle(oracle_cycle(n), q) == expected
+    with small_slices():
+        assert extend_cycle(oracle_cycle(n), q) == expected
+
+
 def brute_force_population(gaps: list[int], s: Constellation) -> int:
     m = len(gaps)
     return sum(all(gaps[(i + t) % m] == g for t, g in enumerate(s.gaps)) for i in range(m))

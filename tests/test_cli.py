@@ -474,6 +474,21 @@ def test_reproduce_targets_pass(capsys, monkeypatch, tmp_path, target):
     assert "PASS" in out
 
 
+def test_reproduce_table5_builds_each_stage_once(monkeypatch, capsys):
+    build = cycle_mod.build_primorial_cycle
+    stages = []
+
+    def recorded_build(p):
+        stages.append(p)
+        return build(p)
+
+    monkeypatch.delenv("GAPSIEVE_CACHE_DIR", raising=False)
+    monkeypatch.setattr(cycle_mod, "build_primorial_cycle", recorded_build)
+    assert main(["reproduce", "table5"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    assert stages == [5, 7, 11, 13]
+
+
 def test_reproduce_table3_requires_long(capsys):
     assert main(["reproduce", "table3"]) == 1
     assert "--long" in capsys.readouterr().err

@@ -121,6 +121,16 @@ def test_generator_correspondence(g7, g13):
         assert cyc.values().tolist() == expected
 
 
+def test_merge_walk_refuses_a_gap_beyond_u16_storage(tmp_path, monkeypatch):
+    # extending g3 = [4, 2] by 5 drops the candidate 5, merging 1 -> 7 into a gap of 6
+    monkeypatch.setattr(cycle_mod, "GAP_LIMIT", 4)
+    with pytest.raises(CapacityError, match="gap 6 exceeds u16 storage"):
+        extend_cycle(build_primorial_cycle(3), 5)
+    with pytest.raises(CapacityError, match="gap 6 exceeds u16 storage"):
+        build_primorial_cycle_streaming(5, str(tmp_path / "g5.gapc"))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_closure_count_under_extension(g5):
     # extending by q coprime to N merges exactly phi(N) candidates
     g7 = extend_cycle(g5, 7)
