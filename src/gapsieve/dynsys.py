@@ -160,10 +160,13 @@ def validity(target: Constellation | int, p0: int) -> Validity:
 def eigenvalue_products(p0: int, pk: int, jmax: int) -> dict[int, float]:
     """Products of (p - j - 1)/(p - 2) over stage primes in (p0, pk], j = 2..jmax.
 
-    Accumulated as compensated log sums over the fixed prime blocks of
-    prime_blocks, so the result is deterministic and keeps well over 12
-    significant digits.
+    Each product is exp of a sum of logs.  The logs of each fixed prime block
+    of prime_blocks sum to one correctly rounded float, the value math.fsum
+    gives, and math.fsum adds the block sums, so the result is deterministic
+    and keeps well over 12 significant digits.
     """
+    if jmax < 2:
+        raise ValueError(f"jmax {jmax} must be at least 2")
     if p0 < jmax + 1:
         raise ValueError(f"p0 {p0} must be at least jmax + 1 = {jmax + 1}")
     if pk <= p0:
@@ -171,10 +174,39 @@ def eigenvalue_products(p0: int, pk: int, jmax: int) -> dict[int, float]:
     sums = {j: [] for j in range(2, jmax + 1)}
     for ps in prime_blocks(p0 + 1, pk):
         ps = ps.astype(np.float64)  # rebinding frees the int64 block before the next sieve
+        den = ps - 2.0
+        logs = np.empty_like(ps)
+        scratch = np.empty_like(ps)
         for j, parts in sums.items():
-            logs = np.log((ps - (j + 1)) / (ps - 2.0))
-            parts.append(math.fsum(logs.tolist()))
+            np.subtract(ps, j + 1, out=logs)
+            logs /= den
+            np.log(logs, out=logs)
+            parts.append(_exact_sum(logs, scratch))
     return {j: math.exp(math.fsum(parts)) for j, parts in sums.items()}
+
+
+def _exact_sum(r: np.ndarray, q: np.ndarray) -> float:
+    """math.fsum(r), by error-free extraction; r is overwritten and q is scratch.
+
+    The entries must be finite with |x| <= 1, as the logs of a block are.
+    Each level takes sigma = 2^(M + e) with 2^M >= len(r) + 2 and
+    max|r| < 2^e, and splits r into q = (r + sigma) - sigma and r - q.  Both
+    parts are exact, and every q is a multiple of 2^-53 sigma no larger than
+    2^-M sigma, so q.sum() is exact in any order (Rump, Ogita and Oishi,
+    SIAM J. Sci. Comput. 31 (2008), Lemma 3.3).  The remainder shrinks by
+    2^(53 - M) per level, and math.fsum rounds the few exact level sums once.
+    """
+    m = (len(r) + 1).bit_length()  # 2^m >= len(r) + 2
+    levels = []
+    while True:
+        top = float(np.abs(r, out=q).max(initial=0.0))
+        if top == 0.0:
+            return math.fsum(levels)
+        sigma = math.ldexp(1.0, m + math.frexp(top)[1])
+        np.add(r, sigma, out=q)
+        q -= sigma
+        r -= q
+        levels.append(float(q.sum()))
 
 
 # crossover looks for a sign change on a grid over (0, 1], then bisects to a tolerance

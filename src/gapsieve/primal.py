@@ -21,8 +21,14 @@ PRIME_FACTOR_CAP = 101
 
 SIEVE_BUDGET = 10**10
 
-# Integers per sieve block.  eigenvalue_products takes one fsum per block, so
-# this partition fixes the rounding of a_j: changing it changes a_j's low bits.
+# A base prime from here up hits the odd half of a SIEVE_BLOCK at most 128
+# times, so sieve_segment strikes all of them together by fancy indexing
+# rather than one strided slice apiece.
+_SCATTER_FROM = 1 << 14
+
+# Integers per sieve block.  eigenvalue_products rounds each block's log sum
+# once, to the math.fsum value, so this partition fixes the rounding of a_j:
+# changing it changes a_j's low bits.
 SIEVE_BLOCK = 1 << 22
 
 
@@ -36,20 +42,43 @@ def primes_upto(n: int) -> list[int]:
 
 
 def sieve_segment(a: int, b: int, base: np.ndarray | None = None) -> np.ndarray:
-    """Primes in [a, b] as int64, striking multiples of ``base`` (all primes <= isqrt(b))."""
+    """Primes in [a, b] as int64, striking multiples of ``base`` (all primes <= isqrt(b)).
+
+    ``base`` is ascending from 2 and may run past isqrt(b).  The mask holds
+    the odd numbers of [a, b] only, and 2 is added back when a <= 2.  Each
+    odd base prime p strikes from its first odd multiple at least
+    max(p*p, a), so base primes inside [a, b] survive: those below
+    _SCATTER_FROM one strided slice each, the rest all together, one
+    fancy-index assignment per round until each leaves the mask.
+    """
     a = max(a, 2)
     if a > b:
         return np.empty(0, dtype=np.int64)
     if base is None:
         base = sieve_segment(2, isqrt(b))
-    mask = np.ones(b - a + 1, dtype=bool)
-    for p in base.tolist():
+    lo = 1 if a == 2 else a | 1  # mask[i] stands for lo + 2i, but mask[0] for 2 when a = 2
+    mask = np.ones((b - lo) // 2 + 1, dtype=bool)
+    root = isqrt(b)
+    if root >= _SCATTER_FROM:
+        split = np.searchsorted(base, _SCATTER_FROM)
+        big = base[split : np.searchsorted(base, root, "right")]
+        base = base[:split]
+        hit = ((-(-np.maximum(big * big, lo) // big) | 1) * big - lo) >> 1
+        while len(hit):
+            live = hit < len(mask)
+            hit, big = hit[live], big[live]
+            mask[hit] = False
+            hit += big
+    for p in base.tolist()[1:]:  # 2 strikes nothing odd
         if p * p > b:
             break
-        # strike from p*p so base primes inside [a, b] survive
-        start = max(p * p, ((a + p - 1) // p) * p)
-        mask[start - a :: p] = False
-    return np.flatnonzero(mask) + a
+        mask[((-(-max(p * p, lo) // p) | 1) * p - lo) >> 1 :: p] = False
+    out = np.flatnonzero(mask)
+    out *= 2
+    out += lo
+    if a == 2:
+        out[0] = 2
+    return out
 
 
 def prime_blocks(a: int, b: int) -> Iterator[np.ndarray]:

@@ -353,6 +353,15 @@ def test_ajk(capsys):
     assert "2,0.93333333333333" in out
 
 
+@pytest.mark.parametrize("p0, jmax", [(13, 1), (13, 0), (-5, -3)])
+def test_ajk_rejects_jmax_below_2(capsys, p0, jmax):
+    # a_j starts at j = 2: a smaller jmax asks for no product at all
+    assert main(["ajk", "--p0", str(p0), "--pk", "17", "--jmax", str(jmax)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: jmax {jmax} must be at least 2\n"
+
+
 def test_crossover(cycle13, capsys):
     assert main(["crossover", "--gap-a", "30", "--gap-b", "6", "--cycle", cycle13]) == 0
     out = capsys.readouterr().out

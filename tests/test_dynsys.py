@@ -1,11 +1,16 @@
+import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gapsieve.census import Constellation, census_for
 from gapsieve.dynsys import (
     PopulationVector,
     Validity,
+    _exact_sum,
     asymptotic_ratio,
     crossover,
     eigenvalue_products,
@@ -185,6 +190,32 @@ A_J_13_2E7_HEX = {
 def test_eigenvalue_products_bit_identical_across_blocks():
     prods = eigenvalue_products(13, 2 * 10**7, 9)
     assert {j: a.hex() for j, a in prods.items()} == A_J_13_2E7_HEX
+
+
+# block logs are finite with |x| <= 1; these draw magnitudes 1e-30..1, zeros too
+block_logs = st.one_of(
+    st.floats(-1.0, 1.0),
+    st.builds(lambda x, e: x * 10.0**-e, st.floats(-1.0, 1.0), st.integers(0, 30)),
+    st.sampled_from([0.0, -0.0]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(block_logs, max_size=200), st.integers(1, 40))
+@example([], 1)
+@example([0.25], 1)
+@example([-0.0], 3)
+@example([0.0, -0.0, 0.5], 1)
+@example([1.0, 2.0**-53], 1)  # halfway: rounds to even, down to 1.0
+@example([1.0, 2.0**-53, 2.0**-106], 1)  # just past halfway: rounds up
+@example([1.0, 2.0**-53, -(2.0**-106)], 1)  # just short of halfway: rounds down
+@example([1.0, -(2.0**-54), 1e-30], 1)
+@example([1.0, -1.0, 2.0**-1074], 1)  # the sum is the smallest subnormal
+@example([2.0**-53], 5000)  # many equal terms: a larger extraction unit 2^M
+def test_exact_sum_equals_fsum(xs, copies):
+    xs = xs * copies
+    r = np.array(xs, dtype=np.float64)
+    assert _exact_sum(r, np.empty_like(r)).hex() == math.fsum(xs).hex()
 
 
 def test_eigenvalue_products_monotone_and_bounded():

@@ -1,6 +1,9 @@
-from math import gcd, prod
+from math import gcd, isqrt, prod
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gapsieve import primal
 from gapsieve.primal import (
@@ -12,6 +15,7 @@ from gapsieve.primal import (
     primes_in,
     primes_upto,
     radical_of_even,
+    sieve_segment,
 )
 
 
@@ -35,6 +39,37 @@ def test_primes_in_small_blocks_equal_one_shot(monkeypatch):
     one_shot = primes_in(2, 10_000)
     monkeypatch.setattr(primal, "SIEVE_BLOCK", 97)
     assert primes_in(2, 10_000) == one_shot
+
+
+# windows [a, a + width]: small ones, and ones near 1e9 whose base primes
+# reach past 2^14, where sieve_segment strikes by fancy indexing
+windows = st.one_of(
+    st.tuples(st.integers(-3, 5000), st.integers(-1, 300)),
+    st.tuples(st.integers(10**9 - 10**5, 10**9 + 10**5), st.integers(0, 300)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(windows)
+@example((0, 2))  # [0, 2] holds the one even prime alone
+@example((2, 0))
+@example((4, 0))  # an even a = b
+@example((9, 0))  # an odd a = b, a prime square
+@example((5, 44))  # b = 7^2
+@example((5, 43))  # b = 7^2 - 1
+@example((16411**2 - 200, 200))  # b = p^2 for the first prime past 2^14
+@example((16411**2 - 201, 200))  # b = p^2 - 1
+@example((31607**2 - 300, 300))  # 31607^2 is the last prime square below 1e9
+@example((31607**2 - 301, 300))
+@example((31531 * 31543 - 150, 300))  # a product of two primes past 2^14
+def test_sieve_segment_matches_trial_division(window):
+    a, width = window
+    b = a + width
+    expected = [n for n in range(a, b + 1) if is_prime(n)]
+    assert sieve_segment(a, b).tolist() == expected
+    # a base past isqrt(b), as prime_blocks passes to all but its last block
+    base = np.array(primes_upto(isqrt(max(b, 0)) + 100), dtype=np.int64)
+    assert sieve_segment(a, b, base).tolist() == expected
 
 
 def test_primes_in_errors(monkeypatch):
