@@ -54,7 +54,6 @@ from .survival import (
     AttritionTrace,
     actual_gap_count,
     attrition,
-    attrition_histograms_csv,
     error_report,
     fold_confirmed_front,
     naive_estimate,

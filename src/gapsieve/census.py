@@ -109,8 +109,10 @@ def _window_counts(gaps: np.ndarray, boundaries: list[int]) -> dict[int, int]:
     more than boundaries[-1] // min(gaps) gaps, which sum past
     boundaries[-1].
     """
-    # a window of span s holds at most s // min_gap gaps
-    extra = boundaries[-1] // int(gaps.min())
+    least = int(gaps.min())  # a window of span s holds at most s // least gaps
+    if not least:
+        raise ValueError("the cycle holds a zero gap")
+    extra = boundaries[-1] // least
     counts = np.zeros(extra + 1, dtype=np.int64)
     for n, part in cyclic_slices(gaps, len(gaps), extra):
         values = np.concatenate(([0], np.cumsum(part, dtype=np.int64)))

@@ -7,17 +7,18 @@ output is deterministic for fixed inputs; metadata lines are prefixed '#'.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
 import os
 import sys
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from . import census as census_mod
 from . import cycle as cycle_mod
 from . import dynsys, polignac, refvalues, survival
 from .census import Constellation
-from .primal import CapacityError, primes_in, primes_upto
+from .primal import CapacityError, phi_i, primes_in, primes_upto
 
 CACHE_ENV = "GAPSIEVE_CACHE_DIR"
 PRINT_LIMIT = 100_000  # refuse to dump larger cycles to stdout
@@ -38,11 +39,19 @@ def load_or_build_cycle(p: int) -> cycle_mod.GapCycle:
     return cycle_mod.build_primorial_cycle_streaming(p, str(path))
 
 
-def _write_text(path: str | None, text: str) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text)
+def _write_csv(path: str | None, lines: Iterable[str | tuple]) -> None:
+    """Write a table: a str item as a '# ' line, a tuple as one CSV row.
+
+    None or '-' is stdout; a file streams through ``cycle.atomic_open``.
+    """
+    with (contextlib.nullcontext(sys.stdout) if path in (None, "-")
+          else cycle_mod.atomic_open(path, "w")) as fh:
+        rows = csv.writer(fh, lineterminator="\n")
+        for item in lines:
+            if isinstance(item, str):
+                fh.write(f"# {item}\n")
+            else:
+                rows.writerow(item)
 
 
 def _model_vector(cycle: cycle_mod.GapCycle, gap: int) -> dynsys.PopulationVector:
@@ -61,12 +70,11 @@ def cmd_build(args) -> int:
         cycle = cycle_mod.build_primorial_cycle_streaming(args.prime, args.out)
         print(f"wrote {cycle.gap_count} gaps (modulus {cycle.modulus}) to {args.out}")
     else:
-        cycle = cycle_mod.build_primorial_cycle(args.prime)
-        if cycle.gap_count > PRINT_LIMIT:
-            raise ValueError(
-                f"{cycle.gap_count} gaps is too large to print; use --out FILE"
-            )
-        print(cycle_mod.render_compact(cycle))
+        cycle_mod._check_stage(args.prime)
+        count = phi_i(1, tuple(primes_upto(args.prime)))
+        if count > PRINT_LIMIT:
+            raise ValueError(f"{count} gaps is too large to print; use --out FILE")
+        print(cycle_mod.render_compact(cycle_mod.build_primorial_cycle(args.prime)))
     return 0
 
 
@@ -96,10 +104,8 @@ def cmd_census(args) -> int:
         raise ValueError(f"--max-len {args.max_len} is below the target length {longest}")
     cycle = cycle_mod.read_cache(args.cycle, mmap=True)
     cap = "" if args.max_len is None else f" max_len={args.max_len}"
-    buf = io.StringIO()
-    buf.write(f"# census modulus={cycle.modulus}{cap}\n")
-    buf.write("target,j,count,normalized_ratio\n" if args.normalize else "target,j,count\n")
-    rows = csv.writer(buf, lineterminator="\n")  # quotes a constellation's commas
+    header = ("target", "j", "count", "normalized_ratio")
+    table = [f"census modulus={cycle.modulus}{cap}", header if args.normalize else header[:3]]
     for t in targets:
         c = census_mod.census_for(cycle, t)
         top = min(args.max_len or c.max_length, c.max_length)
@@ -108,11 +114,11 @@ def cmd_census(args) -> int:
             cols.append(dynsys.PopulationVector.from_census(c, top).ratios)
         cut = top < c.max_length
         print(f"{t}," + ",".join(map(str, cols[0])) + (" (truncated)" if cut else ""))
-        rows.writerows((t, j, *row) for j, row in enumerate(zip(*cols), c.j1))
+        table += ((t, j, *row) for j, row in enumerate(zip(*cols), c.j1))
         if cut:
-            buf.write(f"# {t} truncated at max_len={top}; census max_length={c.max_length}\n")
+            table.append(f"{t} truncated at max_len={top}; census max_length={c.max_length}")
     if args.csv:
-        _write_text(args.csv, buf.getvalue())
+        _write_csv(args.csv, table)
     return 0
 
 
@@ -123,17 +129,16 @@ def cmd_model(args) -> int:
     if pk <= p0:
         raise ValueError(f"--to-prime {pk} must exceed the cycle stage {p0}")
     v = _model_vector(cycle, args.gap)
-    lines = ["# population model: raw counts and ratios to the gap 2", "prime,j,raw_count,ratio"]
+    primes = primes_in(p0 + 1, pk)
 
-    def emit(p: int, vec: dynsys.PopulationVector) -> None:
-        for j, raw, ratio in zip(range(vec.j1, vec.max_length + 1), vec.entries, vec.ratios):
-            lines.append(f"{p},{j},{raw},{ratio}")
+    def table(v: dynsys.PopulationVector) -> Iterator[str | tuple]:
+        yield "population model: raw counts and ratios to the gap 2"
+        yield ("prime", "j", "raw_count", "ratio")
+        for p in (p0, *primes):
+            v = v if p == p0 else dynsys.step(v, p)
+            yield from ((p, j, *row) for j, row in enumerate(zip(v.entries, v.ratios), v.j1))
 
-    emit(p0, v)
-    for p in primes_in(p0 + 1, pk):
-        v = dynsys.step(v, p)
-        emit(p, v)
-    _write_text(args.csv, "\n".join(lines) + "\n")
+    _write_csv(args.csv, table(v))
     return 0
 
 
@@ -165,20 +170,15 @@ def cmd_asymptotic(args) -> int:
 def cmd_repetition(args) -> int:
     spec = polignac.repetition_weight(args.gap, args.length)
     w_part = polignac.partial_ratio(args.gap, spec.radical[-1])
-    print("g,qbar,w_partial,w_infinity,feasible")
-    w_inf = spec.w_infinity if spec.feasible else ""
-    print(
-        f"{spec.g},{spec.radical[-1]},{w_part},{w_inf},"
-        f"{'true' if spec.feasible else 'false'}"
-    )
+    w_inf, feasible = (spec.w_infinity, "true") if spec.feasible else ("", "false")
+    _write_csv(None, [("g", "qbar", "w_partial", "w_infinity", "feasible"),
+                      (spec.g, spec.radical[-1], w_part, w_inf, feasible)])
     return 0
 
 
 def cmd_ajk(args) -> int:
     products = dynsys.eigenvalue_products(args.p0, args.pk, args.jmax)
-    print("j,a_j")
-    for j in sorted(products):
-        print(f"{j},{products[j]:.14f}")
+    _write_csv(None, [("j", "a_j"), *((j, f"{a:.14f}") for j, a in sorted(products.items()))])
     return 0
 
 
@@ -205,15 +205,27 @@ def cmd_attrition(args) -> int:
         f"{sum(trace.initial_histogram.values())} gaps -> {trace.final_gap_count} gaps, "
         f"max surviving gap {trace.max_surviving_gap}"
     )
-    if args.csv:
-        _write_text(args.csv, survival.attrition_histograms_csv(trace))
+    if args.csv:  # each stage's gap histogram, with each count's ratio to the gap 2's
+        hists = [("initial", trace.initial_histogram), *((s.q, s.histogram) for s in trace.steps)]
+        _write_csv(args.csv, [
+            f"attrition of the stage-{trace.base_prime} cycle, modulus {trace.modulus}",
+            ("prime", "gap", "count", "ratio_to_gap2"),
+            *((q, g, n, f"{n / h[2]:.6f}" if h.get(2) else "")
+              for q, h in hists for g, n in sorted(h.items())),
+        ])
     return 0
 
 
 def cmd_naive_error(args) -> int:
     targets = _targets(args)
     cycles = [load_or_build_cycle(p) for p in primes_in(args.pmin, args.pmax)]
-    _write_text(args.csv, survival.error_report_csv(survival.error_report(cycles, targets)))
+    rows = survival.error_report(cycles, targets)
+    _write_csv(args.csv, [
+        "naive estimate vs true prime gaps over [p_next, p_next^2]",
+        ("p_k", "p_next", "target", "estimate", "actual", "rel_error"),
+        *((r.p_k, r.p_next, r.target, f"{r.estimate:.6f}", r.actual,
+           "" if r.rel_error is None else f"{r.rel_error:.6f}") for r in rows),
+    ])
     return 0
 
 

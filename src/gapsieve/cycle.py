@@ -24,7 +24,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 
@@ -393,31 +393,36 @@ def _cache_header(factors: tuple[int, ...], gap_count: int) -> bytes:
     return bytes(head)
 
 
-def _write_gapc(
-    path: str, factors: tuple[int, ...], gap_count: int, chunks: Iterable[np.ndarray]
-) -> None:
-    """Write a cache file from u16 gap chunks, atomically.
+@contextlib.contextmanager
+def atomic_open(path: str, mode: str) -> Iterator[IO]:
+    """Open a temporary file beside ``path``, moved into place when the block ends.
 
-    The file is written beside ``path`` under a temporary name and moved into
-    place only once all ``gap_count`` gaps are in, so an interrupted write
-    leaves whatever was at ``path`` before.
+    An exception in the block removes it, so ``path`` keeps what it held before.
     """
-    head = _cache_header(factors, gap_count)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(head)
-            written = 0
-            for chunk in chunks:
-                fh.write(np.ascontiguousarray(chunk, dtype="<u2"))
-                written += len(chunk)
-        if written != gap_count:
-            raise AssertionError(f"wrote {written} gaps, expected {gap_count}")
+        with open(tmp, mode) as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+
+
+def _write_gapc(
+    path: str, factors: tuple[int, ...], gap_count: int, chunks: Iterable[np.ndarray]
+) -> None:
+    """Write a cache file from u16 gap chunks, atomically (``atomic_open``)."""
+    head = _cache_header(factors, gap_count)
+    with atomic_open(path, "wb") as fh:
+        fh.write(head)
+        written = 0
+        for chunk in chunks:
+            fh.write(np.ascontiguousarray(chunk, dtype="<u2"))
+            written += len(chunk)
+        if written != gap_count:
+            raise AssertionError(f"wrote {written} gaps, expected {gap_count}")
 
 
 def write_cache(path: str, cycle: GapCycle) -> None:
@@ -441,6 +446,8 @@ def read_cache(path: str, mmap: bool = False) -> GapCycle:
         if len(raw) != 8 * nfac + 8:
             raise CacheFormatError("truncated header")
         factors = struct.unpack(f"<{nfac}Q", raw[: 8 * nfac])
+        if not factors:
+            raise CacheFormatError("header lists no prime factors")
         if list(factors) != sorted(set(factors)):
             raise CacheFormatError(f"factors not strictly ascending: {factors}")
         (gap_count,) = struct.unpack("<Q", raw[8 * nfac :])

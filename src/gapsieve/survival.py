@@ -13,8 +13,6 @@ cycle are then exactly 1 and the primes up to the modulus.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
@@ -74,23 +72,9 @@ def error_report(
             est = naive_estimate(cycle, target)
             act = actual_gap_count(p_next, p_next * p_next, target)
             rel = (est - act) / act if act else None
-            rows.append(
-                NaiveEstimateRow(
-                    cycle.prime, p_next, str(as_constellation(target)), est, act, rel
-                )
-            )
+            label = str(as_constellation(target))
+            rows.append(NaiveEstimateRow(cycle.prime, p_next, label, est, act, rel))
     return rows
-
-
-def error_report_csv(rows: Sequence[NaiveEstimateRow]) -> str:
-    buf = io.StringIO()
-    buf.write("# naive estimate vs true prime gaps over [p_next, p_next^2]\n")
-    buf.write("p_k,p_next,target,estimate,actual,rel_error\n")
-    out = csv.writer(buf, lineterminator="\n")  # quotes a constellation's commas
-    for r in rows:
-        rel = "" if r.rel_error is None else f"{r.rel_error:.6f}"
-        out.writerow((r.p_k, r.p_next, r.target, f"{r.estimate:.6f}", r.actual, rel))
-    return buf.getvalue()
 
 
 @dataclass
@@ -232,23 +216,3 @@ def fold_confirmed_front(trace: AttritionTrace) -> np.ndarray:
     idx = int(np.searchsorted(vals, bound, side="right"))
     folded = np.concatenate(([1], vals[idx:]))
     return np.diff(folded)
-
-
-def attrition_histograms_csv(trace: AttritionTrace) -> str:
-    """Long-format CSV of per-stage gap histograms, plus a gap-2 ratio column."""
-    buf = io.StringIO()
-    buf.write(
-        f"# attrition of the stage-{trace.base_prime} cycle, modulus {trace.modulus}\n"
-    )
-    buf.write("prime,gap,count,ratio_to_gap2\n")
-
-    def emit(label: str, hist: dict[int, int]) -> None:
-        two = hist.get(2, 0)
-        for g in sorted(hist):
-            ratio = f"{hist[g] / two:.6f}" if two else ""
-            buf.write(f"{label},{g},{hist[g]},{ratio}\n")
-
-    emit("initial", trace.initial_histogram)
-    for s in trace.steps:
-        emit(str(s.q), s.histogram)
-    return buf.getvalue()

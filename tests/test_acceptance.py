@@ -29,7 +29,8 @@ from gapsieve.dynsys import (
 )
 from gapsieve.polignac import hl_ratio, repetition_feasible_by_divisibility, repetition_weight
 from gapsieve.primal import primes_in, primes_upto
-from gapsieve.survival import actual_gap_count, attrition, error_report, error_report_csv, fold_confirmed_front
+from gapsieve.cli import main
+from gapsieve.survival import actual_gap_count, attrition, error_report, fold_confirmed_front
 
 
 def report(n: int, text: str) -> None:
@@ -180,7 +181,7 @@ def test_criterion_7_attrition(g7, g13):
     )
 
 
-def test_criterion_8_survival_ground_truth(g13):
+def test_criterion_8_survival_ground_truth(g13, tmp_path, monkeypatch, capsys):
     assert actual_gap_count(11, 121, 2) == 8
     ps = primes_in(11, 121)
     diffs = [b - a for a, b in zip(ps, ps[1:])]
@@ -195,8 +196,12 @@ def test_criterion_8_survival_ground_truth(g13):
         cyc = extend_cycle(cyc, q)
         cycles.append(cyc)
     rows = error_report(cycles, [2, 4, 6])
-    text_a = error_report_csv(rows)
-    text_b = error_report_csv(error_report(cycles, [2, 4, 6]))
+    # the first run streams stages 13..23 into the cache dir, the second maps them
+    monkeypatch.setenv("GAPSIEVE_CACHE_DIR", str(tmp_path / "cache"))
+    for name in ("a.csv", "b.csv"):
+        argv = ["naive-error", "--pmin", "13", "--pmax", "23", "--gaps", "2", "4", "6"]
+        assert main([*argv, "--csv", str(tmp_path / name)]) == 0
+    text_a, text_b = (tmp_path / "a.csv").read_text(), (tmp_path / "b.csv").read_text()
     assert text_a == text_b  # deterministic
     worst = max(abs(r.rel_error) for r in rows if r.rel_error is not None)
     # band recorded from the oracle run: observed max |rel| is ~0.16

@@ -1,14 +1,19 @@
 import csv
+import os
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gapsieve
 from gapsieve import cycle as cycle_mod
+from gapsieve import dynsys
 from gapsieve.census import Constellation, census_for
 from gapsieve.cli import main
-from gapsieve.cycle import build_primorial_cycle, read_cache, write_cache
+from gapsieve.cycle import GapCycle, build_primorial_cycle, read_cache, write_cache
 from gapsieve.dynsys import PopulationVector, iterate
 from gapsieve.primal import primes_in
 
@@ -22,6 +27,16 @@ def csv_rows(path):
 def built(tmp_path, prime):
     path = tmp_path / f"g{prime}.gapc"
     assert main(["build", "--prime", str(prime), "--out", str(path)]) == 0
+    return str(path)
+
+
+def malformed_cache(tmp_path, kind):
+    """A cache that ``read_cache`` used to accept: a zero gap, or a header with no factors."""
+    path = tmp_path / f"{kind}.gapc"
+    if kind == "zero-gap":  # the stage-5 count and sum, its gaps 4, 2 at 3..4 made 0, 6
+        write_cache(str(path), GapCycle((2, 3, 5), np.array([6, 4, 2, 0, 6, 4, 6, 2], np.uint16)))
+    else:
+        write_cache(str(path), GapCycle((), np.ones(1, np.uint16)))
     return str(path)
 
 
@@ -69,6 +84,19 @@ def test_build_rejects_nonprime(capsys):
     assert main(["build", "--prime", "9"]) == 1
 
 
+def test_build_refuses_to_print_a_large_cycle_before_building_it(monkeypatch, capsys):
+    def never(p):
+        raise AssertionError(f"built stage {p}")
+
+    monkeypatch.setattr(cycle_mod, "build_primorial_cycle", never)
+    assert main(["build", "--prime", "19"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "use --out" in captured.err
+    assert main(["build", "--prime", "9"]) == 1  # the stage check still comes first
+    assert main(["build", "--prime", "103"]) == 2
+
+
 def test_verify(cycle13, capsys):
     assert main(["verify", "--cycle", cycle13, "--oracle"]) == 0
     out = capsys.readouterr().out
@@ -109,22 +137,59 @@ def test_cycle_file_is_read_memory_mapped(cycle13, cache_reads, capsys, command)
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [["build", "--prime", "31"],
-     ["naive-error", "--pmin", "29", "--pmax", "29", "--gaps", "2", "--csv", "-"]],
-    ids=lambda a: a[0],
+    "argv, stage",
+    [(["build", "--prime", "31", "--out", "g31.gapc"], 29),
+     (["naive-error", "--pmin", "29", "--pmax", "29", "--gaps", "2", "--csv", "-"], 29)],
+    ids=["build", "naive-error"],
 )
-def test_memory_error_exits_2(monkeypatch, capsys, argv):
-    # naive-error builds past stage 23 like build does, with no opt-in flag
+def test_memory_error_exits_2(monkeypatch, tmp_path, capsys, argv, stage):
+    # naive-error builds past stage 23 like build does, with no opt-in flag;
+    # build --out holds the stage before the one it streams in memory
     def out_of_memory(p):
         raise MemoryError(f"Unable to allocate the stage-{p} cycle")
 
+    monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("GAPSIEVE_CACHE_DIR", raising=False)
     monkeypatch.setattr(cycle_mod, "build_primorial_cycle", out_of_memory)
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"capacity error: Unable to allocate the stage-{argv[2]} cycle\n"
+    assert captured.err == f"capacity error: Unable to allocate the stage-{stage} cycle\n"
+    assert not any(tmp_path.iterdir())
+
+
+CYCLE_COMMANDS = {
+    "verify": ["verify"],
+    "census": ["census", "--gap", "2"],
+    "model": ["model", "--gap", "2", "--to-prime", "13"],
+    "asymptotic": ["asymptotic", "--constellation", "2,4"],
+    "crossover": ["crossover", "--gap-a", "2", "--gap-b", "4"],
+    "attrition": ["attrition"],
+}
+
+
+@pytest.mark.parametrize(
+    "kind, command",
+    [*(("zero-gap", c) for c in ("census", "model", "asymptotic", "crossover")),
+     *(("no-factor", c) for c in CYCLE_COMMANDS)],
+)
+def test_malformed_cache_exits_1(tmp_path, capsys, kind, command):
+    assert main([*CYCLE_COMMANDS[command], "--cycle", malformed_cache(tmp_path, kind)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    reason = "the cycle holds a zero gap" if kind == "zero-gap" else "header lists no prime factors"
+    assert captured.err == f"error: {reason}\n"
+
+
+@pytest.mark.parametrize("kind", ["zero-gap", "no-factor"])
+def test_malformed_cache_ends_without_a_traceback(tmp_path, kind):
+    env = {**os.environ, "PYTHONPATH": str(Path(gapsieve.__file__).parents[1])}
+    argv = ["census", "--gap", "2", "--cycle", malformed_cache(tmp_path, kind)]
+    proc = subprocess.run([sys.executable, "-m", "gapsieve.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
 
 
 def test_census_row(cycle13, capsys):
@@ -271,6 +336,24 @@ def test_model_prints_counts_past_the_int_str_digit_limit(cycle13, tmp_path):
         if limit:
             sys.set_int_max_str_digits(limit)
     assert csv.read_text().splitlines()[-1] == expected
+
+
+def test_model_failing_partway_leaves_no_file(cycle13, tmp_path, monkeypatch, capsys):
+    # the rows of the first stages are already streamed when the third step fails
+    step, calls = dynsys.step, []
+
+    def failing_step(v, p):
+        calls.append(p)
+        if len(calls) == 3:
+            raise ValueError(f"step failed at stage {p}")
+        return step(v, p)
+
+    monkeypatch.setattr(dynsys, "step", failing_step)
+    out = tmp_path / "model.csv"
+    assert main(["model", "--cycle", cycle13, "--gap", "6", "--to-prime", "101",
+                 "--csv", str(out)]) == 1
+    assert capsys.readouterr().err == "error: step failed at stage 23\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g13.gapc"]
 
 
 def test_model_rejects_target_not_fully_valid(tmp_path, capsys):

@@ -1,8 +1,9 @@
 """Random argv over every subcommand: main() returns 0, 1 or 2, or argparse exits 1.
 
 Any other exception is a traceback the exit-code contract forbids.  Paths are
-drawn from a stage-7 and a stage-13 cache, a missing file, a directory and a
-path through a regular file; stages stay <= 17 and prime bounds <= 1000 so
+drawn from a stage-7 and a stage-13 cache, a cache with a zero gap, one whose
+header lists no factors, a missing file, a directory and a path through a
+regular file; stages stay <= 17 and prime bounds <= 1000 so
 each run is small.  ``reproduce table3 --long`` sieves for hours and is never
 drawn.
 """
@@ -11,7 +12,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import numpy as np
+
 from gapsieve.cli import main
+from gapsieve.cycle import GapCycle, write_cache
 
 
 @pytest.fixture(scope="module")
@@ -21,11 +25,16 @@ def paths(tmp_path_factory):
         assert main(["build", "--prime", str(p), "--out", str(root / f"g{p}.gapc")]) == 0
     (root / "dir").mkdir()
     (root / "file").write_text("not a directory\n")
+    # a zero gap, and a header with no factors
+    zero = np.array([6, 4, 2, 0, 6, 4, 6, 2], np.uint16)
+    write_cache(str(root / "zero.gapc"), GapCycle((2, 3, 5), zero))
+    write_cache(str(root / "unit.gapc"), GapCycle((), np.ones(1, np.uint16)))
     bad = [str(root / "dir"), str(root / "file" / "x"), str(root / "missing.gapc")]
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("GAPSIEVE_CACHE_DIR", str(root / "cache"))
         yield {
-            "cycle": [str(root / "g7.gapc"), str(root / "g13.gapc"), *bad],
+            "cycle": [str(root / "g7.gapc"), str(root / "g13.gapc"), str(root / "zero.gapc"),
+                      str(root / "unit.gapc"), *bad],
             "out": [str(root / "out.txt"), *bad],
         }
 
@@ -118,3 +127,16 @@ def test_random_argv_never_tracebacks(paths, data):
         assert exc.code == 1
         return
     assert code in (0, 1, 2)
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["verify", "--oracle"], ["census", "--gap", "2"], ["model", "--gap", "2", "--to-prime", "17"],
+     ["asymptotic", "--constellation", "2,4"], ["crossover", "--gap-a", "2", "--gap-b", "4"],
+     ["attrition", "--csv", "-"]],
+    ids=lambda c: c[0],
+)
+def test_every_cycle_path_exits_with_a_code(paths, capsys, command):
+    # the random draws may miss a path for a command; this covers each pair once
+    for path in paths["cycle"]:
+        assert main([*command, "--cycle", path]) in (0, 1, 2)

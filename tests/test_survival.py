@@ -7,15 +7,15 @@ from hypothesis import strategies as st
 
 from gapsieve import build_primorial_cycle
 from gapsieve.census import Constellation
+from gapsieve.cli import main
+from gapsieve.cycle import write_cache
 from gapsieve.primal import SIEVE_BUDGET, CapacityError, primes_in
 from gapsieve.refvalues import ATTRITION_7_FOLDED, ATTRITION_13_OMITTED_PRIME
 from gapsieve.survival import (
     AttritionStep,
     actual_gap_count,
     attrition,
-    attrition_histograms_csv,
     error_report,
-    error_report_csv,
     fold_confirmed_front,
     naive_estimate,
 )
@@ -63,20 +63,32 @@ def test_actual_gap_count_budget():
         actual_gap_count(2, SIEVE_BUDGET + 1, 2)
 
 
-def test_error_report_rows_and_csv(g13):
+ERROR_HEADER = "p_k,p_next,target,estimate,actual,rel_error"
+
+
+def naive_error_csv(tmp_path, monkeypatch, pmin, pmax, *gaps):
+    """The lines of the CSV that ``gapsieve naive-error`` writes, its cycles built in memory."""
+    monkeypatch.delenv("GAPSIEVE_CACHE_DIR", raising=False)
+    out = tmp_path / "err.csv"
+    assert main(["naive-error", "--pmin", str(pmin), "--pmax", str(pmax),
+                 "--gaps", *map(str, gaps), "--csv", str(out)]) == 0
+    return out.read_text().strip().splitlines()
+
+
+def test_error_report_rows_and_csv(g13, tmp_path, monkeypatch):
     rows = error_report([g13], [2, 4])
     assert len(rows) == 2
     assert rows[0].estimate == rows[1].estimate  # same populations at stage 13
-    text = error_report_csv(rows)
-    lines = text.strip().splitlines()
+    lines = naive_error_csv(tmp_path, monkeypatch, 13, 13, 2, 4)
     assert lines[0].startswith("#")
-    assert lines[1] == "p_k,p_next,target,estimate,actual,rel_error"
+    assert lines[1] == ERROR_HEADER
     assert len(lines) == 4
 
 
-def test_error_report_empty_targets(g13):
+def test_error_report_empty_targets(g13, tmp_path, monkeypatch):
     assert error_report([g13], []) == []
-    assert error_report_csv([]).strip().splitlines()[-1] == "p_k,p_next,target,estimate,actual,rel_error"
+    # the command refuses an empty target list; an empty stage range gives the empty report
+    assert naive_error_csv(tmp_path, monkeypatch, 14, 16, 2)[-1] == ERROR_HEADER
 
 
 def test_attrition_g7_matches_worked_sequence(g7):
@@ -120,9 +132,12 @@ def test_attrition_leading_run_survives(g13):
     assert np.array_equal(orig[orig < 17**2], kept[kept < 17**2])
 
 
-def test_attrition_histogram_csv(g13):
+def test_attrition_histogram_csv(g13, tmp_path, capsys):
     trace = attrition(g13)
-    text = attrition_histograms_csv(trace)
+    path, out = tmp_path / "g13.gapc", tmp_path / "attr.csv"
+    write_cache(str(path), g13)
+    assert main(["attrition", "--cycle", str(path), "--csv", str(out)]) == 0
+    text = out.read_text()
     lines = text.strip().splitlines()
     assert lines[1] == "prime,gap,count,ratio_to_gap2"
     assert "initial,2,1485,1.000000" in text
