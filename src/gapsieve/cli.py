@@ -8,17 +8,17 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import os
 import sys
+from itertools import accumulate, chain
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from . import census as census_mod
 from . import cycle as cycle_mod
 from . import dynsys, polignac, refvalues, survival
 from .census import Constellation
-from .primal import CapacityError, phi_i, primes_in, primes_upto
+from .primal import CapacityError, primes_in, primes_upto
 
 CACHE_ENV = "GAPSIEVE_CACHE_DIR"
 PRINT_LIMIT = 100_000  # refuse to dump larger cycles to stdout
@@ -46,12 +46,12 @@ def _write_csv(path: str | None, lines: Iterable[str | tuple]) -> None:
     """
     with (contextlib.nullcontext(sys.stdout) if path in (None, "-")
           else cycle_mod.atomic_open(path, "w")) as fh:
-        rows = csv.writer(fh, lineterminator="\n")
         for item in lines:
             if isinstance(item, str):
                 fh.write(f"# {item}\n")
-            else:
-                rows.writerow(item)
+            else:  # a str field holding a comma (a constellation) is quoted, as csv would
+                fh.write(",".join(f'"{x}"' if isinstance(x, str) and "," in x else str(x)
+                                  for x in item) + "\n")
 
 
 def _model_vector(cycle: cycle_mod.GapCycle, gap: int) -> dynsys.PopulationVector:
@@ -70,8 +70,7 @@ def cmd_build(args) -> int:
         cycle = cycle_mod.build_primorial_cycle_streaming(args.prime, args.out)
         print(f"wrote {cycle.gap_count} gaps (modulus {cycle.modulus}) to {args.out}")
     else:
-        cycle_mod._check_stage(args.prime)
-        count = phi_i(1, tuple(primes_upto(args.prime)))
+        count = cycle_mod.stage_gap_count(args.prime)
         if count > PRINT_LIMIT:
             raise ValueError(f"{count} gaps is too large to print; use --out FILE")
         print(cycle_mod.render_compact(cycle_mod.build_primorial_cycle(args.prime)))
@@ -114,7 +113,7 @@ def cmd_census(args) -> int:
             cols.append(dynsys.PopulationVector.from_census(c, top).ratios)
         cut = top < c.max_length
         print(f"{t}," + ",".join(map(str, cols[0])) + (" (truncated)" if cut else ""))
-        table += ((t, j, *row) for j, row in enumerate(zip(*cols), c.j1))
+        table += ((str(t), j, *row) for j, row in enumerate(zip(*cols), c.j1))
         if cut:
             table.append(f"{t} truncated at max_len={top}; census max_length={c.max_length}")
     if args.csv:
@@ -128,17 +127,13 @@ def cmd_model(args) -> int:
     pk = args.to_prime
     if pk <= p0:
         raise ValueError(f"--to-prime {pk} must exceed the cycle stage {p0}")
-    v = _model_vector(cycle, args.gap)
     primes = primes_in(p0 + 1, pk)
-
-    def table(v: dynsys.PopulationVector) -> Iterator[str | tuple]:
-        yield "population model: raw counts and ratios to the gap 2"
-        yield ("prime", "j", "raw_count", "ratio")
-        for p in (p0, *primes):
-            v = v if p == p0 else dynsys.step(v, p)
-            yield from ((p, j, *row) for j, row in enumerate(zip(v.entries, v.ratios), v.j1))
-
-    _write_csv(args.csv, table(v))
+    # the vector at p0, then after each stage; stepped as the rows are written
+    vectors = accumulate(primes, dynsys.step, initial=_model_vector(cycle, args.gap))
+    rows = ((p, j, *row) for p, v in zip((p0, *primes), vectors)
+            for j, row in enumerate(zip(v.entries, v.ratios), v.j1))
+    _write_csv(args.csv, chain(["population model: raw counts and ratios to the gap 2",
+                                ("prime", "j", "raw_count", "ratio")], rows))
     return 0
 
 

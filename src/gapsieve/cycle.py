@@ -220,16 +220,18 @@ def extend_cycle(cycle: GapCycle, q: int) -> GapCycle:
     return GapCycle(factors, out)
 
 
-def _check_stage(p: int) -> None:
+def stage_gap_count(p: int) -> int:
+    """phi(p#), the gap count of the stage-p cycle, for a stage that can be built."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if p > PRIME_FACTOR_CAP:
         raise CapacityError(f"stage {p} exceeds the construction cap {PRIME_FACTOR_CAP}")
+    return phi_i(1, tuple(primes_upto(p)))
 
 
 def build_primorial_cycle(p: int) -> GapCycle:
     """The cycle of gaps at sieve stage p, built one stage prime at a time."""
-    _check_stage(p)
+    stage_gap_count(p)  # refuses a stage that cannot be built
     return cycle_for_factors(primes_upto(p))
 
 
@@ -252,10 +254,10 @@ def build_primorial_cycle_streaming(p: int, out_path: str) -> GapCycle:
     is byte-identical to write_cache of build_primorial_cycle(p); the result
     is read back memory-mapped.
     """
-    _check_stage(p)
+    count = stage_gap_count(p)
     prev = _UNIT_CYCLE if p == 2 else build_primorial_cycle(prev_prime(p))
     factors = prev.factors + (p,)
-    _write_gapc(out_path, factors, phi_i(1, factors), _merged_chunks(prev.gaps, p))
+    _write_gapc(out_path, factors, count, _merged_chunks(prev.gaps, p))
     return read_cache(out_path, mmap=True)
 
 
@@ -398,7 +400,13 @@ def atomic_open(path: str, mode: str) -> Iterator[IO]:
     """Open a temporary file beside ``path``, moved into place when the block ends.
 
     An exception in the block removes it, so ``path`` keeps what it held before.
+    A symlink's target is replaced, not the link.
     """
+    if os.path.exists(path) and not os.path.isfile(path):  # a device or FIFO: no rename over it
+        with open(path, mode) as fh:
+            yield fh
+        return
+    path = os.path.realpath(path)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, mode) as fh:

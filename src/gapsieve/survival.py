@@ -72,8 +72,11 @@ def error_report(
             est = naive_estimate(cycle, target)
             act = actual_gap_count(p_next, p_next * p_next, target)
             rel = (est - act) / act if act else None
-            label = str(as_constellation(target))
-            rows.append(NaiveEstimateRow(cycle.prime, p_next, label, est, act, rel))
+            rows.append(
+                NaiveEstimateRow(
+                    cycle.prime, p_next, str(as_constellation(target)), est, act, rel
+                )
+            )
     return rows
 
 

@@ -356,6 +356,34 @@ def test_model_failing_partway_leaves_no_file(cycle13, tmp_path, monkeypatch, ca
     assert sorted(p.name for p in tmp_path.iterdir()) == ["g13.gapc"]
 
 
+CENSUS_TABLE = "# census modulus=30030\ntarget,j,count\n2,1,1485\n"
+
+
+def test_csv_through_a_symlink_replaces_its_target(cycle13, tmp_path, capsys):
+    target, link = tmp_path / "table.csv", tmp_path / "link.csv"
+    target.write_text("old\n")
+    link.symlink_to(target)
+    assert main(["census", "--cycle", cycle13, "--gap", "2", "--csv", str(link)]) == 0
+    assert link.is_symlink()
+    assert target.read_text() == CENSUS_TABLE
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g13.gapc", "link.csv", "table.csv"]
+
+
+def test_csv_to_a_fifo_writes_into_it(cycle13, tmp_path, capsys):
+    # a path that is no regular file (a FIFO here, /dev/null or /dev/stdout alike)
+    # is written in place; a rename over it would replace the node
+    fifo = tmp_path / "table.fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert main(["census", "--cycle", cycle13, "--gap", "2", "--csv", str(fifo)]) == 0
+        assert fifo.is_fifo()
+        assert os.read(reader, 1 << 16).decode() == CENSUS_TABLE
+    finally:
+        os.close(reader)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g13.gapc", "table.fifo"]
+
+
 def test_model_rejects_target_not_fully_valid(tmp_path, capsys):
     # gap 30 spans more than 2 * 11, so stepping the stage-7 census would
     # print stage-13 counts that contradict the stage-13 census
