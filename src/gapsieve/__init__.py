@@ -8,8 +8,8 @@ sieving.
 """
 
 from .census import (
-    Census,
     Constellation,
+    PopulationVector,
     census_for,
     population_count,
 )
@@ -27,7 +27,6 @@ from .cycle import (
     write_cache,
 )
 from .dynsys import (
-    PopulationVector,
     Validity,
     asymptotic_ratio,
     crossover,

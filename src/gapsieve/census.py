@@ -5,17 +5,20 @@ cycle (and around it more than once when the target sum exceeds the modulus).
 Because every gap is positive, at most one window of a given start index can
 sum to the target, so one kernel (prefix sums looked up in a per-slice
 position table, slice by slice through ``cycle.cyclic_slices``) counts gaps
-and constellations alike: a gap is a length-1 constellation.
+and constellations alike: a gap is a length-1 constellation.  The counts by
+length are a PopulationVector, the state the model in dynsys steps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from fractions import Fraction
 from itertools import accumulate
 
 import numpy as np
 
 from .cycle import GapCycle, cyclic_slices
+from .primal import phi_i
 
 
 @dataclass(frozen=True)
@@ -58,45 +61,61 @@ def as_constellation(target: Constellation | int) -> Constellation:
     return target if isinstance(target, Constellation) else Constellation((int(target),))
 
 
-@dataclass
-class Census:
-    """Counts of driving terms by length for one target on one cycle.
+@dataclass(frozen=True)
+class PopulationVector:
+    """Raw counts of driving terms by length j1..J, with their reference count.
 
-    counts[j] is the number of cyclic windows of j consecutive gaps that
-    collapse to the target; counts[j1] is the population of the target
-    itself.  max_length is discovered by the scan, not assumed.  factors are
-    the primes of the cycle's modulus.
+    entries[j - j1] is the number of windows of j consecutive gaps that
+    collapse to the target, so entries[0] is the target's own population.
+    ref is phi_{j1+1} of the modulus the counts belong to: the population of
+    the gap 2 when j1 = 1.  A stage at prime p multiplies it by p - j1 - 1,
+    so entries / ref are the ratios the population model is stated in.
     """
 
-    target: Constellation
-    factors: tuple[int, ...]
-    counts: dict[int, int] = field(default_factory=dict)
+    j1: int
+    entries: tuple[int, ...]
+    ref: int
 
-    @property
-    def j1(self) -> int:
-        return self.target.length
+    def __post_init__(self) -> None:
+        if self.j1 < 1 or self.ref < 1 or not self.entries:
+            raise ValueError("need j1 >= 1, ref >= 1 and at least one entry")
+        if any(e < 0 for e in self.entries):
+            raise ValueError("negative population")
 
     @property
     def max_length(self) -> int:
-        nonzero = [j for j, c in self.counts.items() if c]
-        return max(nonzero) if nonzero else self.j1
+        return self.j1 + len(self.entries) - 1
 
     @property
     def population(self) -> int:
-        return self.counts.get(self.j1, 0)
+        return self.entries[0]
 
     @property
     def total(self) -> int:
-        return sum(self.counts.values())
+        return sum(self.entries)
 
-    def vector(self, max_length: int | None = None) -> list[int]:
-        """Counts as a dense list for lengths j1..max_length."""
-        top = self.max_length if max_length is None else max_length
-        return [self.counts.get(j, 0) for j in range(self.j1, top + 1)]
+    @property
+    def ratios(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(e, self.ref) for e in self.entries)
+
+    def vector(self, top: int | None = None) -> list[int]:
+        """Counts for lengths j1..top (default max_length), cut or zero-padded."""
+        n = len(self.entries) if top is None else max(top - self.j1 + 1, 0)
+        return list(self.entries[:n]) + [0] * (n - len(self.entries))
+
+    @classmethod
+    def from_census(cls, census: "PopulationVector", top: int | None = None) -> "PopulationVector":
+        """The census itself, or a copy cut or padded to lengths j1..top."""
+        return census if top is None else cls(census.j1, tuple(census.vector(top)), census.ref)
+
+    def padded(self, max_length: int) -> "PopulationVector":
+        if max_length < self.max_length:
+            raise ValueError("cannot shrink a population vector")
+        return PopulationVector.from_census(self, max_length)
 
 
-def _window_counts(gaps: np.ndarray, boundaries: list[int]) -> dict[int, int]:
-    """Counts by length of the cyclic windows whose prefix sums hit every boundary.
+def _window_counts(gaps: np.ndarray, boundaries: list[int]) -> np.ndarray:
+    """Bincount by length of the cyclic windows whose prefix sums hit every boundary.
 
     Each slice of start positions is read together with enough following
     gaps to close any window of sum boundaries[-1].  Gaps are positive, so
@@ -127,19 +146,21 @@ def _window_counts(gaps: np.ndarray, boundaries: list[int]) -> dict[int, int]:
             hit &= pos[b:][start] >= 0
         # a window holds at least one gap, so length 0 marks a miss
         counts += np.bincount((last - index[:n]) * hit, minlength=extra + 1)
-    return {j: int(c) for j, c in enumerate(counts[1:], start=1) if c}
+    return counts
 
 
-def census_for(cycle: GapCycle, target: Constellation | int) -> Census:
-    """Driving-term census for a gap or a constellation.
+def census_for(cycle: GapCycle, target: Constellation | int) -> PopulationVector:
+    """Driving-term census for a gap or a constellation, as the model's state.
 
     A window of j gaps is a driving term when its prefix sums pass through
     g1, g1+g2, ..., |s| without overshooting any boundary; interior closures
-    then collapse it to s.  A gap g is the constellation (g,).
+    then collapse it to s.  A gap g is the constellation (g,).  Entries run
+    from j1 to the longest driving term found, or are (0,) when none is.
     """
     t = as_constellation(target)
-    boundaries = list(accumulate(t.gaps))
-    return Census(t, cycle.factors, _window_counts(cycle.gaps, boundaries))
+    counts = _window_counts(cycle.gaps, list(accumulate(t.gaps)))[t.length :]
+    entries = tuple(np.trim_zeros(counts, "b").tolist()) or (0,)
+    return PopulationVector(t.length, entries, phi_i(t.length + 1, cycle.factors))
 
 
 def population_count(cycle: GapCycle, target: Constellation | int) -> int:

@@ -54,7 +54,7 @@ def _write_csv(path: str | None, lines: Iterable[str | tuple]) -> None:
                                   for x in item) + "\n")
 
 
-def _model_vector(cycle: cycle_mod.GapCycle, gap: int) -> dynsys.PopulationVector:
+def _model_vector(cycle: cycle_mod.GapCycle, gap: int) -> census_mod.PopulationVector:
     """The gap's population vector, refused where the model is not exact."""
     fit = dynsys.validity(gap, cycle.prime)
     if fit is not dynsys.Validity.FULL:
@@ -62,7 +62,7 @@ def _model_vector(cycle: cycle_mod.GapCycle, gap: int) -> dynsys.PopulationVecto
             f"gap {gap} is {fit.value} at stage {cycle.prime}; the model is exact only "
             "for spans below twice the next stage prime"
         )
-    return dynsys.PopulationVector.from_census(census_mod.census_for(cycle, gap))
+    return census_mod.census_for(cycle, gap)
 
 
 def cmd_build(args) -> int:
@@ -110,7 +110,7 @@ def cmd_census(args) -> int:
         top = min(args.max_len or c.max_length, c.max_length)
         cols = [c.vector(top)]
         if args.normalize:
-            cols.append(dynsys.PopulationVector.from_census(c, top).ratios)
+            cols.append(census_mod.PopulationVector.from_census(c, top).ratios)
         cut = top < c.max_length
         print(f"{t}," + ",".join(map(str, cols[0])) + (" (truncated)" if cut else ""))
         table += ((str(t), j, *row) for j, row in enumerate(zip(*cols), c.j1))
@@ -150,8 +150,7 @@ def cmd_asymptotic(args) -> int:
                 f"constellation {s} is not valid at stage {cycle.prime}; "
                 "an interval sum has a larger prime factor"
             )
-        v = dynsys.PopulationVector.from_census(census_mod.census_for(cycle, s))
-        print(dynsys.asymptotic_ratio(v))
+        print(dynsys.asymptotic_ratio(census_mod.census_for(cycle, s)))
         return 0
     if args.gap is None:
         raise ValueError("pass --gap G or --constellation LIST")
@@ -250,7 +249,7 @@ def _reproduce_table5() -> list[str]:
         s = Constellation.parse(text)
         result = census_mod.census_for(cycles[p0], s)
         got = result.vector()
-        w = dynsys.asymptotic_ratio(dynsys.PopulationVector.from_census(result))
+        w = dynsys.asymptotic_ratio(result)
         ok = (
             s.span == span
             and s.length == j1

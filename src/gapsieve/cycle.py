@@ -400,7 +400,7 @@ def atomic_open(path: str, mode: str) -> Iterator[IO]:
     """Open a temporary file beside ``path``, moved into place when the block ends.
 
     An exception in the block removes it, so ``path`` keeps what it held before.
-    A symlink's target is replaced, not the link.
+    A symlink's target is replaced, not the link; a replaced file's mode is kept.
     """
     if os.path.exists(path) and not os.path.isfile(path):  # a device or FIFO: no rename over it
         with open(path, mode) as fh:
@@ -411,6 +411,8 @@ def atomic_open(path: str, mode: str) -> Iterator[IO]:
     try:
         with open(tmp, mode) as fh:
             yield fh
+        with contextlib.suppress(FileNotFoundError):
+            os.chmod(tmp, os.stat(path).st_mode & 0o7777)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):

@@ -1,14 +1,14 @@
 """The discrete population model for a target and its driving terms.
 
-State is the vector of driving-term counts by length (j1..J).  One sieve
-stage at prime p multiplies by an upper-bidiagonal matrix whose diagonal is
-(p - j - 1) and whose superdiagonal feeds j from j+1 with weight (j + 1 - j1).
-The matrix factors exactly as R * Lambda * L with Pascal-triangular R and L
-independent of p, so products across stages stay diagonal; asymptotics drop
-out of the first left eigenvector, which is all ones.  No matrix is built:
-step applies the stage, and polynomial_approx applies L to the ratios, so
-the tests check L * M = Lambda * L through the two, coefficient m scaling by
-(p - j1 - 1 - m) / (p - j1 - 1) per stage.
+State is census_for's PopulationVector: driving-term counts by length j1..J.
+One sieve stage at prime p multiplies by an upper-bidiagonal matrix whose
+diagonal is (p - j - 1) and whose superdiagonal feeds j from j+1 with weight
+(j + 1 - j1).  The matrix factors exactly as R * Lambda * L with
+Pascal-triangular R and L independent of p, so products across stages stay
+diagonal; asymptotics drop out of the first left eigenvector, which is all
+ones.  No matrix is built: step applies the stage, and polynomial_approx
+applies L to the ratios, so the tests check L * M = Lambda * L through the
+two, coefficient m scaling by (p - j1 - 1 - m) / (p - j1 - 1) per stage.
 
 Counts are exact integers and ratios exact rationals; only the long
 eigenvalue products accumulate in log space.
@@ -17,61 +17,20 @@ eigenvalue products accumulate in log space.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import comb
 
 import numpy as np
 
-from .census import Census, Constellation, as_constellation
+from .census import Constellation, PopulationVector, as_constellation
 from .primal import (
     factorize,
     is_prime,
     next_prime,
-    phi_i,
     prime_blocks,
     primes_in,
 )
-
-
-@dataclass(frozen=True)
-class PopulationVector:
-    """Raw counts of driving terms by length j1..J, with their reference count.
-
-    ref is phi_{j1+1} of the modulus the counts belong to: the population of
-    the gap 2 when j1 = 1.  A stage at prime p multiplies it by p - j1 - 1,
-    so entries / ref are the ratios the model is stated in.
-    """
-
-    j1: int
-    entries: tuple[int, ...]
-    ref: int
-
-    def __post_init__(self) -> None:
-        if self.j1 < 1 or self.ref < 1 or not self.entries:
-            raise ValueError("need j1 >= 1, ref >= 1 and at least one entry")
-        if any(e < 0 for e in self.entries):
-            raise ValueError("negative population")
-
-    @property
-    def max_length(self) -> int:
-        return self.j1 + len(self.entries) - 1
-
-    @property
-    def ratios(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(e, self.ref) for e in self.entries)
-
-    @classmethod
-    def from_census(cls, census: Census, max_length: int | None = None) -> "PopulationVector":
-        top = census.max_length if max_length is None else max_length
-        return cls(census.j1, tuple(census.vector(top)), phi_i(census.j1 + 1, census.factors))
-
-    def padded(self, max_length: int) -> "PopulationVector":
-        if max_length < self.max_length:
-            raise ValueError("cannot shrink a population vector")
-        extra = (0,) * (max_length - self.max_length)
-        return PopulationVector(self.j1, self.entries + extra, self.ref)
 
 
 def step(v: PopulationVector, p: int) -> PopulationVector:
@@ -107,7 +66,7 @@ def asymptotic_ratio(v: PopulationVector) -> Fraction:
     The first left eigenvector is all ones and its eigenvalue is 1 on
     ratios; every other mode decays, so the limit is just the ratio sum.
     """
-    return Fraction(sum(v.entries), v.ref)
+    return Fraction(v.total, v.ref)
 
 
 def polynomial_approx(v: PopulationVector) -> tuple[Fraction, ...]:

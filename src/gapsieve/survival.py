@@ -194,6 +194,10 @@ def attrition(
         sieve_primes = list(sieve_primes)
     vals = cycle.values()
     counts = np.bincount(cycle.gaps).astype(np.int64, copy=False)
+    if counts[0]:  # the passes conserve the gap total, so check it before the first
+        raise ValueError("the cycle holds a zero gap")
+    if vals[-1] != n + 1:
+        raise ValueError(f"the cycle's gaps sum to {vals[-1] - 1}, not its modulus {n}")
     initial = _histogram(counts)
     alive, steps, counts = _strike_passes(vals, counts, sieve_primes, n)
     final_values = vals[alive]

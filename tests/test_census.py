@@ -42,6 +42,11 @@ def brute_force_census(gaps: list[int], s: Constellation) -> dict[int, int]:
     return counts
 
 
+def dense(counts: dict[int, int], j1: int) -> list[int]:
+    """A brute-force census as counts for lengths j1..its longest driving term."""
+    return [counts.get(j, 0) for j in range(j1, max(counts, default=j1) + 1)]
+
+
 def test_constellation_parse():
     assert Constellation.parse("2,10,2").gaps == (2, 10, 2)
     assert Constellation.parse("2,10,2").span == 14
@@ -59,17 +64,17 @@ def test_count_gap(g5, g7, g11):
 
 
 def test_driving_terms_for_gap_examples(g5, g13):
-    assert census_for(g5, 8).counts == {2: 2, 3: 1}
-    assert census_for(g13, 30).counts == {3: 10, 4: 194, 5: 1066, 6: 1784, 7: 816, 8: 90}
+    assert census_for(g5, 8).vector() == [0, 2, 1]
+    assert census_for(g13, 30).vector() == [0, 0, 10, 194, 1066, 1784, 816, 90]
     assert census_for(g5, 10).total == 4
 
 
 def test_wrapping_window_counts():
     g3 = build_primorial_cycle(3)
     # the only windows of sum 6 in the two-gap cycle both exist cyclically
-    assert census_for(g3, 6).counts == {2: 2}
+    assert census_for(g3, 6).vector() == [0, 2]
     # windows longer than the cycle wrap around it more than once
-    assert census_for(g3, 12).counts == {4: 2}
+    assert census_for(g3, 12).vector() == [0, 0, 0, 2]
 
 
 def test_count_constellation_examples(g5):
@@ -79,14 +84,10 @@ def test_count_constellation_examples(g5):
 
 
 def test_driving_terms_for_constellation_examples(g7, g11, g13):
-    assert census_for(g7, Constellation((2, 10, 2))).counts == {3: 2, 4: 6}
+    assert census_for(g7, Constellation((2, 10, 2))).vector() == [2, 6]
     c = census_for(g11, Constellation((12, 12)))
     assert c.vector(6) == [0, 2, 20, 48, 58]
-    assert census_for(g13, Constellation((2, 10, 2, 10, 2))).counts == {
-        5: 52,
-        6: 44,
-        7: 48,
-    }
+    assert census_for(g13, Constellation((2, 10, 2, 10, 2))).vector() == [52, 44, 48]
 
 
 def test_census_vector_dense(g13):
@@ -95,6 +96,15 @@ def test_census_vector_dense(g13):
     assert c.j1 == 1
     assert c.max_length == 6
     assert c.population == 0
+
+
+def test_census_of_a_target_with_no_driving_terms(g5):
+    # no window of the stage-5 cycle closes to 2, 2: the census is one zero at j1
+    c = census_for(g5, Constellation((2, 2)))
+    assert c.vector() == [0]
+    assert c.max_length == 2
+    assert c.population == c.total == 0
+    assert c.ref == 2  # phi_3 of 2 * 3 * 5
 
 
 def test_census_table_matches_reference(g13):
@@ -182,11 +192,11 @@ def test_kernel_matches_brute_force(factors, target):
     s = Constellation(tuple(target))
     got = census_for(cyc, s)
     expected = brute_force_census(cyc.gaps.tolist(), s)
-    assert got.counts == expected
-    assert all(type(j) is int and type(c) is int and c for j, c in got.counts.items())
+    assert got.vector() == dense(expected, s.length)
+    assert all(type(e) is int for e in got.entries) and (got.entries[-1] or got.entries == (0,))
     assert got.population == population_count(cyc, s)
     with small_slices():
-        assert census_for(cyc, s).counts == expected
+        assert census_for(cyc, s).vector() == dense(expected, s.length)
 
 
 @settings(max_examples=40, deadline=None)
@@ -252,7 +262,7 @@ def test_census_reversal_symmetry(factors, target):
     cyc = _cycle(factors)
     s = Constellation(tuple(target))
     with small_slices():
-        assert census_for(cyc, s).counts == census_for(cyc, s.reversed_()).counts
+        assert census_for(cyc, s).vector() == census_for(cyc, s.reversed_()).vector()
 
 
 @settings(max_examples=25, deadline=None)

@@ -31,10 +31,13 @@ def built(tmp_path, prime):
 
 
 def malformed_cache(tmp_path, kind):
-    """A cache that ``read_cache`` used to accept: a zero gap, or a header with no factors."""
+    """A cache that ``read_cache`` accepts or used to accept: a zero gap, gaps that do
+    not sum to the modulus, or a header with no factors."""
     path = tmp_path / f"{kind}.gapc"
     if kind == "zero-gap":  # the stage-5 count and sum, its gaps 4, 2 at 3..4 made 0, 6
         write_cache(str(path), GapCycle((2, 3, 5), np.array([6, 4, 2, 0, 6, 4, 6, 2], np.uint16)))
+    elif kind == "wrong-total":  # the stage-7 count, summing to 104, not 210
+        write_cache(str(path), GapCycle((2, 3, 5, 7), np.array([10] + [2] * 47, np.uint16)))
     else:
         write_cache(str(path), GapCycle((), np.ones(1, np.uint16)))
     return str(path)
@@ -170,21 +173,29 @@ CYCLE_COMMANDS = {
 
 @pytest.mark.parametrize(
     "kind, command",
-    [*(("zero-gap", c) for c in ("census", "model", "asymptotic", "crossover")),
+    [*(("zero-gap", c) for c in ("census", "model", "asymptotic", "crossover", "attrition")),
+     ("wrong-total", "attrition"),
      *(("no-factor", c) for c in CYCLE_COMMANDS)],
 )
 def test_malformed_cache_exits_1(tmp_path, capsys, kind, command):
     assert main([*CYCLE_COMMANDS[command], "--cycle", malformed_cache(tmp_path, kind)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    reason = "the cycle holds a zero gap" if kind == "zero-gap" else "header lists no prime factors"
+    reason = {"zero-gap": "the cycle holds a zero gap",
+              "wrong-total": "the cycle's gaps sum to 104, not its modulus 210",
+              "no-factor": "header lists no prime factors"}[kind]
     assert captured.err == f"error: {reason}\n"
 
 
-@pytest.mark.parametrize("kind", ["zero-gap", "no-factor"])
-def test_malformed_cache_ends_without_a_traceback(tmp_path, kind):
+@pytest.mark.parametrize(
+    "kind, command",
+    [("zero-gap", "census"), ("no-factor", "census"),
+     ("zero-gap", "attrition"), ("wrong-total", "attrition")],
+    ids=["zero-gap", "no-factor", "zero-gap-attrition", "wrong-total-attrition"],
+)
+def test_malformed_cache_ends_without_a_traceback(tmp_path, kind, command):
     env = {**os.environ, "PYTHONPATH": str(Path(gapsieve.__file__).parents[1])}
-    argv = ["census", "--gap", "2", "--cycle", malformed_cache(tmp_path, kind)]
+    argv = [*CYCLE_COMMANDS[command], "--cycle", malformed_cache(tmp_path, kind)]
     proc = subprocess.run([sys.executable, "-m", "gapsieve.cli", *argv],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 1
@@ -382,6 +393,24 @@ def test_csv_to_a_fifo_writes_into_it(cycle13, tmp_path, capsys):
     finally:
         os.close(reader)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["g13.gapc", "table.fifo"]
+
+
+@pytest.mark.parametrize("command", ["census", "build"])
+def test_replacing_a_file_keeps_its_mode(cycle13, tmp_path, capsys, command):
+    # the temporary file is made with the umask default; a new file keeps that
+    old, new = tmp_path / "old", tmp_path / "new"
+    old.write_text("old\n")
+    old.chmod(0o600)
+    umask = os.umask(0o022)
+    try:
+        for out in (old, new):
+            argv = {"census": ["census", "--cycle", cycle13, "--gap", "2", "--csv", str(out)],
+                    "build": ["build", "--prime", "5", "--out", str(out)]}[command]
+            assert main(argv) == 0
+    finally:
+        os.umask(umask)
+    assert old.read_bytes() == new.read_bytes()
+    assert (old.stat().st_mode & 0o777, new.stat().st_mode & 0o777) == (0o600, 0o644)
 
 
 def test_model_rejects_target_not_fully_valid(tmp_path, capsys):
