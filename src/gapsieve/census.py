@@ -134,7 +134,10 @@ def _window_counts(gaps: np.ndarray, boundaries: list[int]) -> np.ndarray:
     extra = boundaries[-1] // least
     counts = np.zeros(extra + 1, dtype=np.int64)
     for n, part in cyclic_slices(gaps, len(gaps), extra):
-        values = np.concatenate(([0], np.cumsum(part, dtype=np.int64)))
+        values = np.empty(len(part) + 1, dtype=np.int64)
+        values[0] = 0
+        values[1:] = part
+        np.cumsum(values, out=values)
         index = np.arange(len(values), dtype=np.int32)
         pos = np.full(int(values[-1]) + 1, -1, dtype=np.int32)
         pos[values] = index

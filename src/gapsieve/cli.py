@@ -39,6 +39,13 @@ def load_or_build_cycle(p: int) -> cycle_mod.GapCycle:
     return cycle_mod.build_primorial_cycle_streaming(p, str(path))
 
 
+def _read_cycle(path: str) -> cycle_mod.GapCycle:
+    """A mapped ``--cycle`` file whose gaps sum to its modulus; ``verify`` reads without the check."""
+    cycle = cycle_mod.read_cache(path, mmap=True)
+    cycle.require_total()
+    return cycle
+
+
 def _write_csv(path: str | None, lines: Iterable[str | tuple]) -> None:
     """Write a table: a str item as a '# ' line, a tuple as one CSV row.
 
@@ -101,7 +108,7 @@ def cmd_census(args) -> int:
     longest = max(t.length for t in targets)
     if args.max_len is not None and args.max_len < longest:
         raise ValueError(f"--max-len {args.max_len} is below the target length {longest}")
-    cycle = cycle_mod.read_cache(args.cycle, mmap=True)
+    cycle = _read_cycle(args.cycle)
     cap = "" if args.max_len is None else f" max_len={args.max_len}"
     header = ("target", "j", "count", "normalized_ratio")
     table = [f"census modulus={cycle.modulus}{cap}", header if args.normalize else header[:3]]
@@ -122,7 +129,7 @@ def cmd_census(args) -> int:
 
 
 def cmd_model(args) -> int:
-    cycle = cycle_mod.read_cache(args.cycle, mmap=True)
+    cycle = _read_cycle(args.cycle)
     p0 = cycle.prime
     pk = args.to_prime
     if pk <= p0:
@@ -144,7 +151,7 @@ def cmd_asymptotic(args) -> int:
         if not args.cycle:
             raise ValueError("--constellation needs --cycle FILE for initial conditions")
         s = Constellation.parse(args.constellation)
-        cycle = cycle_mod.read_cache(args.cycle, mmap=True)
+        cycle = _read_cycle(args.cycle)
         if dynsys.validity(s, cycle.prime) is dynsys.Validity.INVALID:
             raise ValueError(
                 f"constellation {s} is not valid at stage {cycle.prime}; "
@@ -177,7 +184,7 @@ def cmd_ajk(args) -> int:
 
 
 def cmd_crossover(args) -> int:
-    cycle = cycle_mod.read_cache(args.cycle, mmap=True)
+    cycle = _read_cycle(args.cycle)
     root = dynsys.crossover(_model_vector(cycle, args.gap_a), _model_vector(cycle, args.gap_b))
     if root is None:
         print("no crossover")
@@ -190,7 +197,7 @@ def cmd_crossover(args) -> int:
 
 
 def cmd_attrition(args) -> int:
-    cycle = cycle_mod.read_cache(args.cycle, mmap=True)
+    cycle = _read_cycle(args.cycle)
     trace = survival.attrition(cycle)
     ps = trace.sieve_primes
     stages = f"stages {ps[0]}..{ps[-1]}" if ps else "no sieving primes"

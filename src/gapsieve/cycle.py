@@ -74,12 +74,23 @@ class GapCycle:
         """Largest prime factor (the sieve stage for primorial cycles)."""
         return max(self.factors)
 
-    def values(self) -> np.ndarray:
-        """Candidate values 1, g1+1, ..., N+1 as int64 (prefix sums, one int64 array)."""
-        v = np.empty(len(self.gaps) + 1, dtype=np.int64)
+    @property
+    def total(self) -> int:
+        """The sum of the gaps, accumulated in int64 (numpy reduces in buffered blocks)."""
+        return int(self.gaps.sum(dtype=np.int64))
+
+    def require_total(self) -> None:
+        """Refuse gaps that do not sum to the modulus, before any narrow prefix sum wraps."""
+        total = self.total
+        if total != self.modulus:
+            raise ValueError(f"the cycle's gaps sum to {total}, not its modulus {self.modulus}")
+
+    def values(self, dtype=np.int64) -> np.ndarray:
+        """Candidate values 1, g1+1, ..., N+1 (prefix sums, one array of ``dtype``)."""
+        v = np.empty(len(self.gaps) + 1, dtype=dtype)
         v[0] = 1
         v[1:] = self.gaps
-        return np.cumsum(v, out=v)
+        return np.cumsum(v, dtype=dtype, out=v)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GapCycle):
@@ -340,7 +351,7 @@ def verify_cycle(cycle: GapCycle, oracle: bool = False) -> CycleReport:
     checks["count"] = m == phi
     if not checks["count"]:
         details["count"] = f"{m} gaps, totient {phi}"
-    total = int(cycle.gaps.sum(dtype=np.int64))
+    total = cycle.total
     checks["sum"] = total == n
     if not checks["sum"]:
         details["sum"] = f"gaps sum to {total}, modulus {n}"

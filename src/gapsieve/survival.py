@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .census import Constellation, as_constellation, population_count
-from .cycle import GapCycle
+from .cycle import CHUNK_GAPS, GapCycle
 from .primal import next_prime, primes_in
 
 
@@ -121,6 +121,49 @@ def _histogram(counts: np.ndarray) -> dict[int, int]:
     return dict(zip(sizes.tolist(), counts[sizes].tolist()))
 
 
+# the set bits of each byte value, and 2^b for each position b of a 16-bit word.
+# The bit arithmetic below uses % and + where & and | would give the same
+# values: numpy's integer bitwise loops map extra code pages, which a short
+# run such as `reproduce` saw as 0.13-0.25 MB more peak RSS.
+_POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
+_POW2 = np.array([1 << b for b in range(16)], dtype=np.uint16)
+
+
+def _popcount16(words: np.ndarray) -> np.ndarray:
+    return _POPCOUNT8[words % 256] + _POPCOUNT8[words >> 8]
+
+
+def _rank_table(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Jacobson's bitvector rank over the sorted, distinct candidate values ``vals``.
+
+    ``bits`` holds one bit per integer in [0, vals[-1]], in 16-bit words, set
+    for each candidate; ``rank[w]`` counts the candidates below word w.  The
+    bits are packed slice by slice, so the temporaries stay O(slice); slices
+    that share a word set different bits of it, so their words add.
+    """
+    words = int(vals[-1]) // 16 + 1
+    bits = np.zeros(words, dtype=np.uint16)
+    for lo in range(0, len(vals), CHUNK_GAPS):
+        part = vals[lo : lo + CHUNK_GAPS]
+        a, b = int(part[0]) // 16, int(part[-1]) // 16 + 1
+        mark = np.zeros(16 * (b - a), dtype=bool)
+        mark[part - 16 * a] = True
+        bits[a:b] += np.packbits(mark, bitorder="little").view("<u2")
+    rank = np.zeros(words + 1, dtype=np.int32)
+    rank[1:] = _popcount16(bits)
+    return bits, np.cumsum(rank, dtype=np.int32, out=rank)
+
+
+def _locate(bits: np.ndarray, rank: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The count of candidates below each x in [0, vals[-1]], and whether x is one.
+
+    A candidate's count is its index in the values.
+    """
+    w, b = x >> 4, x % 16
+    word = bits[w]
+    return rank[w] + _popcount16(word % _POW2[b]), (word >> b) % 2 == 1
+
+
 def _strike_passes(
     vals: np.ndarray, counts: np.ndarray, sieve_primes: list[int], n: int
 ) -> tuple[np.ndarray, list[AttritionStep], np.ndarray]:
@@ -133,21 +176,28 @@ def _strike_passes(
     listed prime dividing it).  That holds for any sieve list, in any order,
     with omissions or repeats.  The struck candidates form runs along the
     list; each run's gaps give way to one merged gap and the run is
-    unlinked, so a pass costs O(candidates <= N/q + struck).
+    unlinked, so a pass costs O(candidates <= N/q + struck).  A product's
+    index and whether it is a candidate at all are read from a rank table
+    in O(1), with no binary search.
 
     Returns the survivor mask, one step per pass and the final gap counts.
     """
     m = len(vals)
     last = int(vals[-1]) - 1  # largest strikable value: N on a well-formed cycle
+    bits, rank = _rank_table(vals)
     alive = np.ones(m, dtype=bool)
     prev = np.arange(-1, m - 1, dtype=np.int32)
     nxt = np.arange(1, m + 1, dtype=np.int32)
     steps: list[AttritionStep] = []
     for q in sieve_primes:
-        k_end = int(np.searchsorted(vals, last // q, side="right"))
-        products = q * vals[1 + np.flatnonzero(alive[1:k_end])]
-        idx = np.searchsorted(vals, products)
-        hit = (vals[idx] == products) & alive[idx]
+        # the candidates k in [2, last // q]: there are none unless q <= N, so
+        # q * k is formed only where it fits the values' dtype.  The key has
+        # the values' dtype, or searchsorted would convert them all.
+        k_end = int(np.searchsorted(vals, vals.dtype.type(last // q), side="right"))
+        ks = vals[1 + np.flatnonzero(alive[1:k_end])]
+        products = q * ks if len(ks) else ks
+        idx, hit = _locate(bits, rank, products)
+        hit &= alive[idx]
         struck, at = idx[hit], products[hit]
         if len(struck):
             alive[struck] = False
@@ -182,6 +232,8 @@ def attrition(
     itself stays; it is the prime being confirmed) and merges the gaps
     around them.  The gap total is conserved at N after every pass, and the
     final gaps are checked against the counts tracked through the passes.
+    The candidates are int32 while N + 1 fits (every stage through 23),
+    int64 past that; the final values and gaps are int64.
     """
     n = cycle.modulus
     pk = cycle.prime
@@ -192,15 +244,14 @@ def attrition(
         )
     else:
         sieve_primes = list(sieve_primes)
-    vals = cycle.values()
     counts = np.bincount(cycle.gaps).astype(np.int64, copy=False)
     if counts[0]:  # the passes conserve the gap total, so check it before the first
         raise ValueError("the cycle holds a zero gap")
-    if vals[-1] != n + 1:
-        raise ValueError(f"the cycle's gaps sum to {vals[-1] - 1}, not its modulus {n}")
+    cycle.require_total()
+    vals = cycle.values(np.int32 if n + 1 < 2**31 else np.int64)
     initial = _histogram(counts)
     alive, steps, counts = _strike_passes(vals, counts, sieve_primes, n)
-    final_values = vals[alive]
+    final_values = vals[alive].astype(np.int64)
     final_gaps = np.diff(final_values)
     if not np.array_equal(np.bincount(final_gaps, minlength=len(counts)), counts):
         raise AssertionError("surviving gaps disagree with the tracked histogram")

@@ -173,8 +173,8 @@ CYCLE_COMMANDS = {
 
 @pytest.mark.parametrize(
     "kind, command",
-    [*(("zero-gap", c) for c in ("census", "model", "asymptotic", "crossover", "attrition")),
-     ("wrong-total", "attrition"),
+    [*((kind, c) for kind in ("zero-gap", "wrong-total")
+       for c in ("census", "model", "asymptotic", "crossover", "attrition")),
      *(("no-factor", c) for c in CYCLE_COMMANDS)],
 )
 def test_malformed_cache_exits_1(tmp_path, capsys, kind, command):
@@ -185,6 +185,12 @@ def test_malformed_cache_exits_1(tmp_path, capsys, kind, command):
               "wrong-total": "the cycle's gaps sum to 104, not its modulus 210",
               "no-factor": "header lists no prime factors"}[kind]
     assert captured.err == f"error: {reason}\n"
+
+
+def test_verify_reports_a_wrong_total(tmp_path, capsys):
+    # the total is checked by the commands that use the gaps, not by read_cache
+    assert main(["verify", "--cycle", malformed_cache(tmp_path, "wrong-total")]) == 1
+    assert "sum: FAIL (gaps sum to 104, modulus 210)" in capsys.readouterr().out.splitlines()
 
 
 @pytest.mark.parametrize(

@@ -8,11 +8,14 @@ from hypothesis import strategies as st
 from gapsieve import build_primorial_cycle
 from gapsieve.census import Constellation
 from gapsieve.cli import main
-from gapsieve.cycle import write_cache
+from gapsieve.cycle import cycle_for_factors, write_cache
 from gapsieve.primal import SIEVE_BUDGET, CapacityError, primes_in
 from gapsieve.refvalues import ATTRITION_7_FOLDED, ATTRITION_13_OMITTED_PRIME
 from gapsieve.survival import (
     AttritionStep,
+    _locate,
+    _rank_table,
+    _strike_passes,
     actual_gap_count,
     attrition,
     error_report,
@@ -239,3 +242,48 @@ def test_attrition_stage17_final_gaps_are_prime_gaps(stage_cycles):
     expected = np.diff([1] + primes_in(18, n) + [n + 1])
     assert np.array_equal(trace.final_gaps, expected)
     assert trace.max_surviving_gap == int(expected.max())
+
+
+@pytest.mark.parametrize("factors", [(2, 3, 5, 7), (3, 5, 7), (3, 5, 7, 11), (2, 3, 5, 7, 11, 13)])
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_rank_lookup_matches_binary_search(factors, dtype):
+    vals = cycle_for_factors(factors).values(dtype)
+    bits, rank = _rank_table(vals)
+    # every integer up to N + 1: the candidates, the multiples of the modulus's
+    # primes between them, and both ends of each 16-bit word
+    x = np.arange(int(vals[-1]) + 1, dtype=dtype)
+    idx, present = _locate(bits, rank, x)
+    assert np.array_equal(idx, np.searchsorted(vals, x))
+    assert np.array_equal(present, np.isin(x, vals))
+    assert present.sum() == len(vals)
+
+
+def test_rank_lookup_covers_word_edges():
+    # an odd modulus has even candidates, so both edge positions hold one
+    vals = cycle_for_factors((3, 5, 7)).values()
+    assert {0, 15} <= set((vals % 16).tolist())
+    q = 7
+    strikes = q * vals[vals <= vals[-1] // q]
+    idx, present = _locate(*_rank_table(vals), strikes)
+    assert not present.any()  # q divides N, so no q * k is a candidate
+    assert np.array_equal(idx, np.searchsorted(vals, strikes))
+
+
+def test_strike_passes_agree_across_value_dtypes(g13):
+    counts = np.bincount(g13.gaps).astype(np.int64)
+    primes = _primes_above(g13)
+    runs = [_strike_passes(g13.values(dtype), counts.copy(), primes, g13.modulus)
+            for dtype in (np.int32, np.int64)]
+    (alive32, steps32, counts32), (alive64, steps64, counts64) = runs
+    assert steps32 == steps64
+    assert np.array_equal(alive32, alive64)
+    assert np.array_equal(counts32, counts64)
+
+
+def test_attrition_skips_a_prime_past_the_modulus(g7):
+    # 4294967311 fits no int32 value; past N it strikes nothing
+    trace = attrition(g7, [11, 4294967311])
+    assert [s.q for s in trace.steps] == [11, 4294967311]
+    assert trace.steps[-1].closures == 0
+    assert trace.steps[-1].histogram == trace.steps[0].histogram
+    assert trace.final_values.dtype == np.int64
