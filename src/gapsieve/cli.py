@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import os
 import sys
 from itertools import accumulate, chain
@@ -357,6 +358,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser, built anew on every call; ``main`` builds one per process."""
     ap = _Parser(
         prog="gapsieve",
         description="Cycles of gaps in Eratosthenes sieve: censuses, population models, asymptotics, survival.",
@@ -439,9 +441,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's parser, built on the first ``main`` call, not at import."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     # exact counts outgrow CPython's int-to-str digit guard (model past stage ~10,000);
     # it is lifted for this command's output only
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()

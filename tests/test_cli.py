@@ -1,5 +1,6 @@
 import csv
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import gapsieve
+from gapsieve import cli
 from gapsieve import cycle as cycle_mod
 from gapsieve import dynsys
 from gapsieve.census import Constellation, census_for
@@ -657,6 +659,27 @@ def test_reproduce_long_only_with_table3(capsys):
     assert "--long" in captured.err
 
 
+def test_reproduce_targets_repeat_in_one_process(monkeypatch, capsys):
+    """Two shuffled rounds of the targets through one process's parser print the same
+    text, and every call, a refused one too, restores the int-to-str digit limit."""
+    monkeypatch.delenv("GAPSIEVE_CACHE_DIR", raising=False)
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+    start = digits()
+    rng = random.Random(7)
+    texts = {}
+    for _ in range(2):
+        order = ["table2", "table5", "fig5", "g7-attrition"]
+        rng.shuffle(order)
+        for target in order:
+            assert main(["reproduce", target]) == 0
+            assert digits() == start
+            text = capsys.readouterr().out
+            assert text.endswith(f"{target}: PASS\n")
+            assert texts.setdefault(target, text) == text
+    assert main(["reproduce", "table3"]) == 1
+    assert digits() == start
+
+
 def test_unknown_constellation_string(cycle13, capsys):
     assert main(["census", "--cycle", cycle13, "--constellation", "2,x"]) == 1
 
@@ -680,3 +703,63 @@ def test_every_subcommand_has_help(command, capsys):
         main([command, "--help"])
     assert exc.value.code == 0
     assert "usage:" in capsys.readouterr().out
+
+
+def _outcome(argv, capsys, csv_path):
+    """main's exit code (a usage error's SystemExit code too), stdout, stderr and the
+    bytes it wrote to csv_path, which is removed first."""
+    csv_path.unlink(missing_ok=True)
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, csv_path.exists() and csv_path.read_bytes()
+
+
+def test_calls_through_the_shared_parser_match_a_fresh_parser(
+        cycle13, tmp_path, monkeypatch, capsys):
+    """The --gap and --gaps actions share one default list per parser; no call's
+    targets reach the next call's arguments."""
+    monkeypatch.setenv("GAPSIEVE_CACHE_DIR", str(tmp_path / "cache"))
+    out = tmp_path / "out.csv"
+    naive = ["naive-error", "--pmin", "11", "--pmax", "13", "--gaps", "2", "--gaps", "4",
+             "--csv", str(out)]
+    calls = [
+        ["census", "--cycle", cycle13, "--gap", "2", "--gap", "4", "--csv", str(out)],
+        ["census", "--cycle", cycle13, "--constellation", "2,10,2", "--csv", str(out)],
+        ["census", "--cycle", cycle13],
+        naive,
+        naive,
+        ["naive-error", "--pmin", "11", "--pmax", "13", "--gaps", "6", "--bogus",
+         "--csv", str(out)],
+        ["census", "--cycle", cycle13, "--gap", "6", "--csv", str(out)],
+    ]
+    shared = []
+    for argv in calls:
+        shared.append(_outcome(argv, capsys, out))
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_parser", cli.build_parser)
+            assert _outcome(argv, capsys, out) == shared[-1]
+    assert [s[0] for s in shared] == [0, 0, 1, 0, 0, 1, 0]
+    assert "no target" in shared[2][2]
+    assert "unrecognized arguments: --bogus" in shared[5][2]
+    assert {r[0] for r in csv_rows(out)[1:]} == {"6"}
+    assert shared[3] == shared[4]
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    build = cli.build_parser
+    builds = []
+
+    def counted_build():
+        builds.append(build())
+        return builds[-1]
+
+    monkeypatch.setattr(cli, "build_parser", counted_build)
+    cli._parser.cache_clear()
+    for _ in range(10):
+        assert main(["asymptotic", "--gap", "30", "--at-prime", "0"]) == 0
+    assert capsys.readouterr().out == "1\n" * 10
+    assert len(builds) == 1
+    assert build() is not build()
