@@ -11,6 +11,7 @@ from .census import (
     Constellation,
     PopulationVector,
     census_for,
+    pattern_count,
     population_count,
 )
 from .cycle import (

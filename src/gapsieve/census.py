@@ -1,12 +1,13 @@
 """Exact cyclic enumeration of gaps, constellations, and their driving terms.
 
-All window counts here are cyclic: windows may wrap past the end of the
-cycle (and around it more than once when the target sum exceeds the modulus).
+All window counts here are cyclic: windows may wrap past the end of the cycle
+(and around it more than once when the target sum exceeds the modulus).
 Because every gap is positive, at most one window of a given start index can
 sum to the target, so one kernel (prefix sums looked up in a per-slice
 position table, slice by slice through ``cycle.cyclic_slices``) counts gaps
 and constellations alike: a gap is a length-1 constellation.  The counts by
 length are a PopulationVector, the state the model in dynsys steps.
+pattern_count matches a target exactly, in a cycle or among prime gaps.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ class Constellation:
     @classmethod
     def parse(cls, text: str) -> "Constellation":
         try:
-            gaps = tuple(int(t) for t in text.split(",") if t.strip())
+            gaps = tuple(int(t) for t in text.split(","))
         except ValueError as exc:
             raise ValueError(f"malformed constellation {text!r}") from exc
         return cls(gaps)
@@ -166,17 +167,24 @@ def census_for(cycle: GapCycle, target: Constellation | int) -> PopulationVector
     return PopulationVector(t.length, entries, phi_i(t.length + 1, cycle.factors))
 
 
+def pattern_count(gaps: np.ndarray, target: Constellation | int) -> int:
+    """Starts i <= len(gaps) - k whose next k gaps equal the k-gap target, with no wrap."""
+    t = as_constellation(target).gaps
+    n = len(gaps) - len(t) + 1
+    if n <= 0:  # no start; a negative bound would slice from the end
+        return 0
+    mask = gaps[:n] == t[0]
+    for i, g in enumerate(t[1:], start=1):
+        mask &= gaps[i : i + n] == g
+    return int(np.count_nonzero(mask))
+
+
 def population_count(cycle: GapCycle, target: Constellation | int) -> int:
     """The target's own population: cyclic starts whose next gaps equal it.
 
-    Compares shifted views of each slice, so a memory-mapped cycle costs
-    O(slice) extra memory.
+    Each slice holds its starts and the k - 1 gaps after them, so a
+    memory-mapped cycle costs O(slice) extra memory.
     """
-    gaps = as_constellation(target).gaps
-    total = 0
-    for n, part in cyclic_slices(cycle.gaps, cycle.gap_count, len(gaps) - 1):
-        mask = part[:n] == gaps[0]
-        for t, g in enumerate(gaps[1:], start=1):
-            mask &= part[t : t + n] == g
-        total += int(np.count_nonzero(mask))
-    return total
+    t = as_constellation(target)
+    return sum(pattern_count(part, t)
+               for _, part in cyclic_slices(cycle.gaps, cycle.gap_count, t.length - 1))

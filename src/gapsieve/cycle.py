@@ -360,6 +360,7 @@ def verify_cycle(cycle: GapCycle, oracle: bool = False) -> CycleReport:
     if n % 2 == 0:
         # an odd gap sets bit 0 of the OR over all gaps
         checks["even_gaps"] = not int(np.bitwise_or.reduce(cycle.gaps)) & 1
+    checks["positive_gaps"] = int(cycle.gaps.min(initial=1)) > 0
     # slice by slice, so a mapped cycle is compared without a cycle-long temporary
     body = cycle.gaps[:-1]
     half = len(body) // 2

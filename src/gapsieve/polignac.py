@@ -16,7 +16,6 @@ from fractions import Fraction
 from .primal import (
     PRIME_FACTOR_CAP,
     CapacityError,
-    factorize,
     next_prime,
     phi_i,
     primes_upto,
@@ -31,11 +30,9 @@ def hl_ratio(g: int) -> Fraction:
 
 def partial_ratio(g: int, p: int) -> Fraction:
     """The ratio attained by stage p: only odd factors of g up to p contribute."""
-    if g < 2 or g % 2 != 0:
-        raise ValueError(f"gap must be a positive even integer: {g}")
     r = Fraction(1)
-    for q, _ in factorize(g):
-        if 2 < q <= p:
+    for q in radical_of_even(g)[1:]:
+        if q <= p:
             r *= Fraction(q - 1, q - 2)
     return r
 
@@ -78,11 +75,9 @@ def repetition_weight(g: int, j1: int) -> RepetitionSpec:
     Q the radical of g.  A feasible repetition of length j1 corresponds to
     j1+1 consecutive candidates in arithmetic progression.
     """
-    if g < 2 or g % 2 != 0:
-        raise ValueError(f"gap must be a positive even integer: {g}")
+    rad = radical_of_even(g)
     if j1 < 1:
         raise ValueError(f"repetition length must be >= 1, got {j1}")
-    rad = radical_of_even(g)
     largest = 2
     acc = 2
     p = 2

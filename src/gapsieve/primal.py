@@ -157,7 +157,7 @@ def factorize(n: int) -> list[tuple[int, int]]:
 def radical_of_even(g: int) -> tuple[int, ...]:
     """The distinct primes dividing an even g (2 included), ascending."""
     if g < 2 or g % 2 != 0:
-        raise ValueError(f"{g} is not a positive even integer")
+        raise ValueError(f"gap must be a positive even integer: {g}")
     return tuple(p for p, _ in factorize(g))
 
 

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .census import Constellation, as_constellation, population_count
+from .census import Constellation, as_constellation, pattern_count, population_count
 from .cycle import CHUNK_GAPS, GapCycle
 from .primal import next_prime, primes_in
 
@@ -42,13 +42,7 @@ def actual_gap_count(a: int, b: int, target: Constellation | int) -> int:
     The whole constellation must lie inside the interval: its first and last
     primes are both in [a, b].  The interval is checked as primes_in checks it.
     """
-    pattern = list(as_constellation(target).gaps)
-    ps = primes_in(a, b)
-    if len(ps) < len(pattern) + 1:
-        return 0
-    diffs = [q - p for p, q in zip(ps, ps[1:])]
-    k = len(pattern)
-    return sum(1 for i in range(len(diffs) - k + 1) if diffs[i : i + k] == pattern)
+    return pattern_count(np.diff(primes_in(a, b)), target)
 
 
 @dataclass

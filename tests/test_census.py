@@ -4,12 +4,13 @@ from functools import lru_cache
 from itertools import accumulate
 from math import prod
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gapsieve import cycle as cycle_mod
-from gapsieve.census import Constellation, census_for, population_count
+from gapsieve.census import Constellation, census_for, pattern_count, population_count
 from gapsieve.cycle import (
     build_primorial_cycle,
     cycle_for_factors,
@@ -54,6 +55,25 @@ def test_constellation_parse():
         Constellation.parse("2,x")
     with pytest.raises(ValueError):
         Constellation.parse("3,4")
+    # every comma-separated field is a gap: an empty one is not skipped
+    for text in ("2,,10", "2,4,", ",2", ""):
+        with pytest.raises(ValueError, match="malformed constellation"):
+            Constellation.parse(text)
+
+
+def test_pattern_count_reads_straight_through():
+    gaps = np.array([2, 4, 2, 4, 2], dtype=np.uint16)
+    assert pattern_count(gaps, 2) == 3
+    assert pattern_count(gaps, Constellation((2, 4))) == 2
+    assert pattern_count(gaps, Constellation((4, 2, 4, 2))) == 1
+    # no wrap: the last gap does not run on into the first
+    assert pattern_count(gaps, Constellation((2, 2))) == 0
+    # a target as long as the array starts once; a longer one has no start and
+    # reads nothing from the array's end
+    assert pattern_count(gaps, Constellation((2, 4, 2, 4, 2))) == 1
+    for extra in ((4,), (4, 2), (4, 2, 4, 2)):
+        assert pattern_count(gaps, Constellation((2, 4, 2, 4, 2) + extra)) == 0
+    assert pattern_count(gaps[:0], 2) == 0
 
 
 def test_count_gap(g5, g7, g11):

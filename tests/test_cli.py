@@ -12,7 +12,7 @@ import pytest
 import gapsieve
 from gapsieve import cli
 from gapsieve import cycle as cycle_mod
-from gapsieve import dynsys
+from gapsieve import dynsys, refvalues
 from gapsieve.census import Constellation, census_for
 from gapsieve.cli import main
 from gapsieve.cycle import GapCycle, build_primorial_cycle, read_cache, write_cache
@@ -38,6 +38,9 @@ def malformed_cache(tmp_path, kind):
     path = tmp_path / f"{kind}.gapc"
     if kind == "zero-gap":  # the stage-5 count and sum, its gaps 4, 2 at 3..4 made 0, 6
         write_cache(str(path), GapCycle((2, 3, 5), np.array([6, 4, 2, 0, 6, 4, 6, 2], np.uint16)))
+    elif kind == "zero-gap-palindrome":  # modulus 10: count, sum, last gap, parity and
+        # symmetry all hold, so only the zero gaps are wrong
+        write_cache(str(path), GapCycle((2, 5), np.array([0, 8, 0, 2], np.uint16)))
     elif kind == "wrong-total":  # the stage-7 count, summing to 104, not 210
         write_cache(str(path), GapCycle((2, 3, 5, 7), np.array([10] + [2] * 47, np.uint16)))
     else:
@@ -106,6 +109,13 @@ def test_verify(cycle13, capsys):
     assert main(["verify", "--cycle", cycle13, "--oracle"]) == 0
     out = capsys.readouterr().out
     assert "oracle: ok" in out
+    assert "positive_gaps: ok" in out
+
+
+@pytest.mark.parametrize("kind", ["zero-gap", "zero-gap-palindrome"])
+def test_verify_reports_a_zero_gap(tmp_path, capsys, kind):
+    assert main(["verify", "--cycle", malformed_cache(tmp_path, kind)]) == 1
+    assert "positive_gaps: FAIL" in capsys.readouterr().out.splitlines()
 
 
 def test_verify_missing_file(tmp_path, capsys):
@@ -175,7 +185,7 @@ CYCLE_COMMANDS = {
 
 @pytest.mark.parametrize(
     "kind, command",
-    [*((kind, c) for kind in ("zero-gap", "wrong-total")
+    [*((kind, c) for kind in ("zero-gap", "zero-gap-palindrome", "wrong-total")
        for c in ("census", "model", "asymptotic", "crossover", "attrition")),
      *(("no-factor", c) for c in CYCLE_COMMANDS)],
 )
@@ -184,6 +194,7 @@ def test_malformed_cache_exits_1(tmp_path, capsys, kind, command):
     captured = capsys.readouterr()
     assert captured.out == ""
     reason = {"zero-gap": "the cycle holds a zero gap",
+              "zero-gap-palindrome": "the cycle holds a zero gap",
               "wrong-total": "the cycle's gaps sum to 104, not its modulus 210",
               "no-factor": "header lists no prime factors"}[kind]
     assert captured.err == f"error: {reason}\n"
@@ -320,8 +331,10 @@ def test_census_normalize_is_the_population_vector_ratio(cycle13, tmp_path):
     [[], ["--gap", "6", "--max-len", "0"],
      ["--constellation", "2,10,2", "--max-len", "1"],
      ["--constellation", "2,10,2", "--max-len", "2"],
-     ["--gap", "2", "--normalize"]],
-    ids=["none", "gap-max-len-0", "max-len-1", "max-len-2", "normalize-without-csv"],
+     ["--gap", "2", "--normalize"],
+     ["--constellation", "2,,10"]],
+    ids=["none", "gap-max-len-0", "max-len-1", "max-len-2", "normalize-without-csv",
+         "empty-field"],
 )
 def test_census_rejects_bad_target(cycle13, capsys, target):
     assert main(["census", "--cycle", cycle13, *target]) == 1
@@ -483,6 +496,19 @@ def test_usage_errors_exit_1(capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("usage: gapsieve")
     assert "error: " in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, gap",
+    [(["asymptotic", "--gap", "7"], 7), (["repetition", "--gap", "0", "--length", "0"], 0)],
+    ids=["asymptotic", "repetition"],
+)
+def test_bad_gap_message(capsys, argv, gap):
+    # repetition's length 0 is bad too; the gap is reported first
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: gap must be a positive even integer: {gap}\n"
 
 
 def test_repetition(capsys):
@@ -649,6 +675,40 @@ def test_reproduce_table5_builds_each_stage_once(monkeypatch, capsys):
 def test_reproduce_table3_requires_long(capsys):
     assert main(["reproduce", "table3"]) == 1
     assert "--long" in capsys.readouterr().err
+
+
+def _table3(monkeypatch, capsys, products):
+    """reproduce table3 --long's exit code and lines, with ``products`` as the a_j."""
+    calls = []
+
+    def eigenvalue_products(*args):
+        calls.append(args)
+        return dict(products)
+
+    monkeypatch.delenv("GAPSIEVE_CACHE_DIR", raising=False)
+    monkeypatch.setattr(dynsys, "eigenvalue_products", eigenvalue_products)
+    code = main(["reproduce", "table3", "--long"])
+    assert calls == [(13, refvalues.EIGENVALUE_PRODUCTS_PK, 9)]
+    return code, capsys.readouterr().out.splitlines()
+
+
+def test_reproduce_table3_passes_on_the_pinned_products(monkeypatch, capsys):
+    pinned = refvalues.EIGENVALUE_PRODUCTS_1E12
+    assert _table3(monkeypatch, capsys, pinned) == (0, [
+        *(f"a_{j}: {a:.14f} vs {a:.14f} PASS" for j, a in pinned.items()),
+        "w_6 at 1e12: 1.912 vs 1.912 PASS",
+        "w_30 at 1e12: 1.580 vs 1.579 PASS",
+        "table3: PASS",
+    ])
+
+
+def test_reproduce_table3_fails_on_a_moved_product(monkeypatch, capsys):
+    pinned = refvalues.EIGENVALUE_PRODUCTS_1E12
+    code, lines = _table3(monkeypatch, capsys, {**pinned, 4: pinned[4] + 1e-10})
+    assert code == 1
+    assert lines[2] == f"a_4: {pinned[4] + 1e-10:.14f} vs {pinned[4]:.14f} FAIL"
+    assert [line.endswith("PASS") for line in lines[:8]] == [j != 4 for j in range(2, 10)]
+    assert lines[-1] == "table3: FAIL"
 
 
 def test_reproduce_long_only_with_table3(capsys):

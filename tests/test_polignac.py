@@ -5,7 +5,7 @@ import pytest
 from gapsieve.census import census_for
 from gapsieve.cycle import build_primorial_cycle
 from gapsieve.dynsys import PopulationVector, asymptotic_ratio
-from gapsieve.primal import factorize
+from gapsieve.primal import factorize, radical_of_even
 from gapsieve.polignac import (
     hl_ratio,
     partial_ratio,
@@ -13,7 +13,7 @@ from gapsieve.polignac import (
     repetition_weight,
     seeded_total,
 )
-from gapsieve.refvalues import ASYMPTOTIC_74_132, GAP_W_INFINITY
+from gapsieve.refvalues import ASYMPTOTIC_74_132, GAP_W_INFINITY, PARTIAL_RATIO_31
 
 
 def test_hl_ratio_examples():
@@ -35,9 +35,8 @@ def test_hl_ratio_matches_display_column():
 
 
 def test_partial_ratio_examples():
-    assert partial_ratio(74, 31) == F(1)
-    assert partial_ratio(78, 31) == F(24, 11)
-    assert partial_ratio(222, 31) == F(2)
+    for g, expected in PARTIAL_RATIO_31.items():
+        assert partial_ratio(g, 31) == expected
     assert partial_ratio(74, 37) == hl_ratio(74)
 
 
@@ -67,6 +66,16 @@ def test_seeded_total_matches_census():
         qbar = max(q for q, _ in factorize(g))
         cycle = build_primorial_cycle(qbar)
         assert census_for(cycle, g).total == seeded_total(g)
+
+
+@pytest.mark.parametrize("g", [7, 0, -4, 1])
+def test_gap_checks_share_one_message(g):
+    # a bad gap is reported before a bad repetition length
+    message = f"^gap must be a positive even integer: {g}$"
+    for check in (radical_of_even, hl_ratio, lambda g: partial_ratio(g, 31),
+                  lambda g: repetition_weight(g, 0), seeded_total):
+        with pytest.raises(ValueError, match=message):
+            check(g)
 
 
 def test_repetition_weight_examples():

@@ -2,14 +2,14 @@ from math import isqrt
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gapsieve import build_primorial_cycle
 from gapsieve.census import Constellation
 from gapsieve.cli import main
 from gapsieve.cycle import cycle_for_factors, write_cache
-from gapsieve.primal import SIEVE_BUDGET, CapacityError, primes_in
+from gapsieve.primal import SIEVE_BUDGET, CapacityError, is_prime, primes_in
 from gapsieve.refvalues import ATTRITION_7_FOLDED, ATTRITION_13_OMITTED_PRIME
 from gapsieve.survival import (
     AttritionStep,
@@ -64,6 +64,32 @@ def test_actual_gap_count_rejects_odd_gaps():
 def test_actual_gap_count_budget():
     with pytest.raises(CapacityError):
         actual_gap_count(2, SIEVE_BUDGET + 1, 2)
+
+
+def brute_force_gap_count(a: int, b: int, pattern: list[int]) -> int:
+    """Reference count: trial-divide [a, b], then match the pattern at each position."""
+    ps = [n for n in range(a, b + 1) if is_prime(n)]
+    diffs = [q - p for p, q in zip(ps, ps[1:])]
+    k = len(pattern)
+    return sum(1 for i in range(len(diffs) - k + 1) if diffs[i : i + k] == pattern)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(-5, 5000),
+    st.integers(0, 5005),
+    st.lists(st.sampled_from([2, 4, 6, 8, 10, 12, 14]), min_size=1, max_size=3),
+)
+@example(-5, 4, [2])  # [-5, -1]: no prime
+@example(2, 0, [2])  # [2, 2]: one prime, no gap
+@example(3, 2, [2])  # [3, 5]: two primes, one gap
+@example(3, 4, [2, 2])  # [3, 7]: k + 1 primes, the fewest that can match
+@example(5, 6, [2, 4, 2])  # [5, 11]: k primes, one too few
+def test_actual_gap_count_matches_brute_force(a, width, pattern):
+    b = min(a + width, 5000)
+    assert actual_gap_count(a, b, Constellation(tuple(pattern))) == (
+        brute_force_gap_count(a, b, pattern)
+    )
 
 
 ERROR_HEADER = "p_k,p_next,target,estimate,actual,rel_error"
