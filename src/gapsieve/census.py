@@ -37,8 +37,9 @@ class Constellation:
 
     @classmethod
     def parse(cls, text: str) -> "Constellation":
+        """Comma-separated gaps, each field read by parse_gap."""
         try:
-            gaps = tuple(int(t) for t in text.split(","))
+            gaps = tuple(parse_gap(t) for t in text.split(","))
         except ValueError as exc:
             raise ValueError(f"malformed constellation {text!r}") from exc
         return cls(gaps)
@@ -56,6 +57,17 @@ class Constellation:
 
     def __str__(self) -> str:
         return ",".join(str(g) for g in self.gaps)
+
+
+def parse_gap(text: str) -> int:
+    """A gap written in ASCII digits only.
+
+    int() would also read signs, underscores, blanks and other scripts'
+    digits, so "0_6" and "+6" would pass as 6.
+    """
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"malformed gap {text!r}: ASCII digits only")
+    return int(text)
 
 
 def as_constellation(target: Constellation | int) -> Constellation:

@@ -93,6 +93,14 @@ def cmd_verify(args) -> int:
     return 0 if report.ok else 1
 
 
+def _gap(text: str) -> int:
+    """The type of every gap option: census.parse_gap, refusals reported by argparse."""
+    try:
+        return census_mod.parse_gap(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _targets(args) -> list[Constellation]:
     """Every gap and --constellation target, in command-line order; a gap is (g,)."""
     if not args.targets:
@@ -378,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("census", help="count gaps/constellations and their driving terms")
     p.add_argument("--cycle", required=True)
-    p.add_argument("--gap", type=int, action="append", dest="targets", default=[], metavar="G")
+    p.add_argument("--gap", type=_gap, action="append", dest="targets", default=[], metavar="G")
     p.add_argument("--constellation", action="append", dest="targets", metavar="LIST",
                    help="comma list, e.g. 2,10,2; rows follow the command-line order")
     p.add_argument("--max-len", type=int, default=None)
@@ -388,20 +396,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("model", help="run the population model from a cycle's censused counts")
     p.add_argument("--cycle", required=True)
-    p.add_argument("--gap", type=int, required=True)
+    p.add_argument("--gap", type=_gap, required=True)
     p.add_argument("--to-prime", type=int, required=True)
     p.add_argument("--csv", metavar="OUT")
     p.set_defaults(func=cmd_model)
 
     p = sub.add_parser("asymptotic", help="asymptotic ratio of a gap or constellation")
-    p.add_argument("--gap", type=int)
+    p.add_argument("--gap", type=_gap)
     p.add_argument("--at-prime", type=int, help="partial product attained by this stage")
     p.add_argument("--constellation", metavar="LIST")
     p.add_argument("--cycle", help="cycle file for constellation initial conditions")
     p.set_defaults(func=cmd_asymptotic)
 
     p = sub.add_parser("repetition", help="feasibility and weight of a repeated gap")
-    p.add_argument("--gap", type=int, required=True)
+    p.add_argument("--gap", type=_gap, required=True)
     p.add_argument("--length", type=int, required=True, help="repetition length")
     p.set_defaults(func=cmd_repetition)
 
@@ -412,8 +420,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ajk)
 
     p = sub.add_parser("crossover", help="where two gaps' populations tie")
-    p.add_argument("--gap-a", type=int, required=True)
-    p.add_argument("--gap-b", type=int, required=True)
+    p.add_argument("--gap-a", type=_gap, required=True)
+    p.add_argument("--gap-b", type=_gap, required=True)
     p.add_argument("--cycle", required=True)
     p.add_argument("--map-prime", action="store_true",
                    help="also estimate the stage prime for the root")
@@ -427,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("naive-error", help="naive estimates vs true prime gaps")
     p.add_argument("--pmin", type=int, required=True)
     p.add_argument("--pmax", type=int, required=True)
-    p.add_argument("--gaps", type=int, nargs="*", action="extend", dest="targets", default=[],
+    p.add_argument("--gaps", type=_gap, nargs="*", action="extend", dest="targets", default=[],
                    metavar="G")
     p.add_argument("--constellation", action="append", dest="targets", metavar="LIST")
     p.add_argument("--csv", required=True, metavar="OUT")

@@ -11,7 +11,10 @@ applies L to the ratios, so the tests check L * M = Lambda * L through the
 two, coefficient m scaling by (p - j1 - 1 - m) / (p - j1 - 1) per stage.
 
 Counts are exact integers and ratios exact rationals; only the long
-eigenvalue products accumulate in log space.
+eigenvalue products accumulate in log space.  They hold one prime block of
+primal.prime_blocks at a time, plus four float64 buffers of _BATCH primes,
+whatever the range; each SIEVE_BLOCK's log sum is still rounded once, so the
+SIEVE_BLOCK partition, not the batch size, fixes a_j's low bits.
 """
 
 from __future__ import annotations
@@ -116,13 +119,21 @@ def validity(target: Constellation | int, p0: int) -> Validity:
     return Validity.ASYMPTOTIC_ONLY
 
 
+# primes per batch of logs in eigenvalue_products; any size gives the same a_j
+_BATCH = 1 << 14
+
+
 def eigenvalue_products(p0: int, pk: int, jmax: int) -> dict[int, float]:
     """Products of (p - j - 1)/(p - 2) over stage primes in (p0, pk], j = 2..jmax.
 
     Each product is exp of a sum of logs.  The logs of each fixed prime block
     of prime_blocks sum to one correctly rounded float, the value math.fsum
     gives, and math.fsum adds the block sums, so the result is deterministic
-    and keeps well over 12 significant digits.
+    and keeps well over 12 significant digits.  The logs are taken _BATCH
+    primes at a time in four float64 buffers allocated once per call, so the
+    working memory is one block plus those buffers.  The batches only split
+    each block's exact level sums, and math.fsum rounds all of a block's
+    levels together, so the rounding point is still the SIEVE_BLOCK.
     """
     if jmax < 2:
         raise ValueError(f"jmax {jmax} must be at least 2")
@@ -131,36 +142,50 @@ def eigenvalue_products(p0: int, pk: int, jmax: int) -> dict[int, float]:
     if pk <= p0:
         raise ValueError(f"need pk > p0, got {pk} <= {p0}")
     sums = {j: [] for j in range(2, jmax + 1)}
+    buffers = np.empty((4, _BATCH))
     for ps in prime_blocks(p0 + 1, pk):
-        ps = ps.astype(np.float64)  # rebinding frees the int64 block before the next sieve
-        den = ps - 2.0
-        logs = np.empty_like(ps)
-        scratch = np.empty_like(ps)
-        for j, parts in sums.items():
-            np.subtract(ps, j + 1, out=logs)
-            logs /= den
-            np.log(logs, out=logs)
-            parts.append(_exact_sum(logs, scratch))
+        levels = {j: [] for j in sums}
+        for lo in range(0, len(ps), _BATCH):
+            # the last batch is short; no name keeps a view of the block
+            x, den, logs, scratch = buffers[:, : len(ps) - lo]
+            np.copyto(x, ps[lo : lo + len(x)])
+            np.subtract(x, 2.0, out=den)
+            for j, parts in levels.items():
+                np.subtract(x, j + 1, out=logs)
+                logs /= den
+                np.log(logs, out=logs)
+                _exact_levels(logs, scratch, parts)
+        for j, parts in levels.items():
+            sums[j].append(math.fsum(parts))
+        del ps  # the loop variable would keep the block alive while the next one is sieved
     return {j: math.exp(math.fsum(parts)) for j, parts in sums.items()}
 
 
 def _exact_sum(r: np.ndarray, q: np.ndarray) -> float:
-    """math.fsum(r), by error-free extraction; r is overwritten and q is scratch.
+    """math.fsum(r), as the math.fsum of _exact_levels' level sums."""
+    levels: list[float] = []
+    _exact_levels(r, q, levels)
+    return math.fsum(levels)
 
-    The entries must be finite with |x| <= 1, as the logs of a block are.
-    Each level takes sigma = 2^(M + e) with 2^M >= len(r) + 2 and
-    max|r| < 2^e, and splits r into q = (r + sigma) - sigma and r - q.  Both
-    parts are exact, and every q is a multiple of 2^-53 sigma no larger than
-    2^-M sigma, so q.sum() is exact in any order (Rump, Ogita and Oishi,
-    SIAM J. Sci. Comput. 31 (2008), Lemma 3.3).  The remainder shrinks by
-    2^(53 - M) per level, and math.fsum rounds the few exact level sums once.
+
+def _exact_levels(r: np.ndarray, q: np.ndarray, levels: list[float]) -> None:
+    """Append floats whose exact sum is that of r, by error-free extraction.
+
+    r is overwritten and q is scratch.  The entries must be finite with
+    |x| <= 1, as the logs of a block are.  Each level takes sigma = 2^(M + e)
+    with 2^M >= len(r) + 2 and max|r| < 2^e, and splits r into
+    q = (r + sigma) - sigma and r - q.  Both parts are exact, and every q is a
+    multiple of 2^-53 sigma no larger than 2^-M sigma, so q.sum() is exact in
+    any order (Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31 (2008),
+    Lemma 3.3).  The remainder shrinks by 2^(53 - M) per level, so a few
+    level sums hold r's sum exactly, and math.fsum over them, alone or with
+    other arrays' levels, rounds that sum once.
     """
     m = (len(r) + 1).bit_length()  # 2^m >= len(r) + 2
-    levels = []
     while True:
         top = float(np.abs(r, out=q).max(initial=0.0))
         if top == 0.0:
-            return math.fsum(levels)
+            return
         sigma = math.ldexp(1.0, m + math.frexp(top)[1])
         np.add(r, sigma, out=q)
         q -= sigma

@@ -4,7 +4,10 @@ A squarefree modulus, such as the primorial p# of a sieve stage, is written
 everywhere in the package as the ascending tuple of its distinct primes, and
 ``phi_i`` over that tuple is the one totient.  Every prime list and block
 comes from one segmented sieve, ``sieve_segment``, so sieving a window
-[a, b] holds O(sqrt(b) + SIEVE_BLOCK) working memory at a time.  The trial
+[a, b] holds O(sqrt(b) + SIEVE_BLOCK) working memory at a time.  The bound
+holds for the consumers of ``prime_blocks`` too: ``eigenvalue_products`` and
+``actual_gap_count`` keep one block and fixed-size buffers, never a list of
+the window's primes; only ``primes_in`` returns one.  The trial
 division in ``is_prime`` and ``factorize`` serves single numbers: input checks
 and the tests' independent reference.
 """
@@ -91,16 +94,17 @@ def prime_blocks(a: int, b: int) -> Iterator[np.ndarray]:
         yield sieve_segment(lo, min(lo + SIEVE_BLOCK - 1, b), base)
 
 
-def primes_in(a: int, b: int) -> list[int]:
-    """Ascending list of the primes in [a, b].
-
-    Raises ValueError on an inverted range and CapacityError when b exceeds
-    SIEVE_BUDGET.
-    """
+def check_window(a: int, b: int) -> None:
+    """Raise ValueError on an inverted range and CapacityError when b exceeds SIEVE_BUDGET."""
     if a > b:
         raise ValueError(f"inverted range [{a}, {b}]")
     if b > SIEVE_BUDGET:
         raise CapacityError(f"upper bound {b} exceeds sieve budget {SIEVE_BUDGET}")
+
+
+def primes_in(a: int, b: int) -> list[int]:
+    """Ascending list of the primes in [a, b], after check_window(a, b)."""
+    check_window(a, b)
     return [p for ps in prime_blocks(a, b) for p in ps.tolist()]
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .census import Constellation, as_constellation, pattern_count, population_count
 from .cycle import CHUNK_GAPS, GapCycle
-from .primal import next_prime, primes_in
+from .primal import check_window, next_prime, prime_blocks, primes_in
 
 
 def naive_estimate(cycle: GapCycle, target: Constellation | int) -> float:
@@ -41,8 +41,20 @@ def actual_gap_count(a: int, b: int, target: Constellation | int) -> int:
 
     The whole constellation must lie inside the interval: its first and last
     primes are both in [a, b].  The interval is checked as primes_in checks it.
+    The count runs block by block over prime_blocks: each block is read after
+    the last k primes before it, so a window of k gaps is counted once, in the
+    block that holds its last prime, and one block is held at a time.
     """
-    return pattern_count(np.diff(primes_in(a, b)), target)
+    t = as_constellation(target)
+    check_window(a, b)
+    count = 0
+    tail = np.empty(0, dtype=np.int64)
+    for ps in prime_blocks(a, b):
+        run = np.concatenate((tail, ps))
+        count += pattern_count(np.diff(run), t)
+        tail = run[-t.length :]
+        del ps, run  # free the block before the next one is sieved
+    return count
 
 
 @dataclass

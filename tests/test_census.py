@@ -10,7 +10,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gapsieve import cycle as cycle_mod
-from gapsieve.census import Constellation, census_for, pattern_count, population_count
+from gapsieve.census import (
+    Constellation,
+    census_for,
+    parse_gap,
+    pattern_count,
+    population_count,
+)
 from gapsieve.cycle import (
     build_primorial_cycle,
     cycle_for_factors,
@@ -59,6 +65,23 @@ def test_constellation_parse():
     for text in ("2,,10", "2,4,", ",2", ""):
         with pytest.raises(ValueError, match="malformed constellation"):
             Constellation.parse(text)
+
+
+@pytest.mark.parametrize(
+    "text", ["1_0,+2", "+2", "2,-2", " 2", "2 ,4", "2,4\n", "0x2", "1e1", "\u0662", "2,\u00b2"]
+)
+def test_constellation_parse_takes_ascii_digits_only(text):
+    # int() would read underscores, signs, blanks and other scripts' digits
+    with pytest.raises(ValueError, match="malformed constellation"):
+        Constellation.parse(text)
+
+
+def test_parse_gap():
+    assert parse_gap("30") == 30
+    assert parse_gap("06") == 6
+    for text in ("0_6", "+6", "-6", " 6", "6 ", "", "\u0666", "\u00b2", "6.0"):
+        with pytest.raises(ValueError, match="malformed gap"):
+            parse_gap(text)
 
 
 def test_pattern_count_reads_straight_through():

@@ -498,6 +498,50 @@ def test_usage_errors_exit_1(capsys, argv):
     assert "error: " in captured.err
 
 
+GAP_OPTIONS = {
+    "census --gap": ["census", "--cycle", "CYCLE", "--gap", "{}"],
+    "census --constellation": ["census", "--cycle", "CYCLE", "--constellation", "2,{}"],
+    "model --gap": ["model", "--cycle", "CYCLE", "--gap", "{}", "--to-prime", "17"],
+    "asymptotic --gap": ["asymptotic", "--gap", "{}"],
+    "asymptotic --constellation": ["asymptotic", "--constellation", "2,{}", "--cycle", "CYCLE"],
+    "repetition --gap": ["repetition", "--gap", "{}", "--length", "2"],
+    "crossover --gap-a": ["crossover", "--gap-a", "{}", "--gap-b", "6", "--cycle", "CYCLE"],
+    "crossover --gap-b": ["crossover", "--gap-a", "30", "--gap-b", "{}", "--cycle", "CYCLE"],
+    "naive-error --gaps": ["naive-error", "--pmin", "11", "--pmax", "11", "--gaps", "2", "{}",
+                           "--csv", "-"],
+    "naive-error --constellation": ["naive-error", "--pmin", "11", "--pmax", "11",
+                                    "--constellation", "2,{}", "--csv", "-"],
+}
+
+
+@pytest.mark.parametrize("option", list(GAP_OPTIONS))
+@pytest.mark.parametrize("text", ["0_6", "+6", "-6", " 6", "6 ", "\u0666", "6.0"])
+def test_gap_fields_take_ascii_digits_only(cycle13, capsys, option, text):
+    # int() reads each of these as 6 or -6; every gap field refuses them
+    argv = [cycle13 if a == "CYCLE" else a.format(text) for a in GAP_OPTIONS[option]]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse refused the value
+        code = exc.code
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "malformed" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_census_refuses_int_grammar_targets(cycle13, capsys):
+    # these exited 0, counting and labelling the targets 10,2 and 6
+    for argv in (["--constellation", "1_0,+2"], ["--gap", "0_6"],
+                 ["--constellation", "1_0,+2", "--gap", "0_6"]):
+        try:
+            code = main(["census", "--cycle", cycle13, *argv])
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 1
+        assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize(
     "argv, gap",
     [(["asymptotic", "--gap", "7"], 7), (["repetition", "--gap", "0", "--length", "0"], 0)],

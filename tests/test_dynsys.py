@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gapsieve import dynsys, primal
 from gapsieve.census import Constellation, census_for
 from gapsieve.dynsys import (
     PopulationVector,
@@ -20,7 +21,7 @@ from gapsieve.dynsys import (
     step,
     validity,
 )
-from gapsieve.primal import phi_i, primes_upto
+from gapsieve.primal import SIEVE_BLOCK, phi_i, primes_upto
 
 
 def vec(entries, j1=1, ref=1):
@@ -190,6 +191,34 @@ A_J_13_2E7_HEX = {
 def test_eigenvalue_products_bit_identical_across_blocks():
     prods = eigenvalue_products(13, 2 * 10**7, 9)
     assert {j: a.hex() for j, a in prods.items()} == A_J_13_2E7_HEX
+
+
+@pytest.mark.parametrize("batch", [2**16, 1 << 22])
+def test_eigenvalue_products_pinned_at_any_batch(monkeypatch, batch):
+    # the batches split each block's exact level sums; the block still rounds once
+    monkeypatch.setattr(dynsys, "_BATCH", batch)
+    prods = eigenvalue_products(13, 2 * 10**7, 9)
+    assert {j: a.hex() for j, a in prods.items()} == A_J_13_2E7_HEX
+
+
+def test_eigenvalue_products_batch_of_7(monkeypatch):
+    # a batch of 7 primes over the 2e7 pin takes about 40 s, so the tiny batch
+    # is checked against the default one on 3 small blocks, whose short last
+    # batches and block ends it crosses
+    monkeypatch.setattr(primal, "SIEVE_BLOCK", 40_001)
+    expected = eigenvalue_products(13, 120_000, 9)
+    monkeypatch.setattr(dynsys, "_BATCH", 7)
+    prods = eigenvalue_products(13, 120_000, 9)
+    assert {j: a.hex() for j, a in prods.items()} == {j: a.hex() for j, a in expected.items()}
+
+
+def test_eigenvalue_products_hold_one_block(traced_peak):
+    # two blocks near 1e9: the sieve of one block takes 3.5 MB; whole-block
+    # float64 logs, four arrays of them, peaked at 9.75 MB
+    pk = 10**9 + 2 * SIEVE_BLOCK - 1
+    prods, peak_mb = traced_peak(lambda: eigenvalue_products(10**9 - 1, pk, 9))
+    assert f"{prods[2]:.14f}" == "0.99959701208220"
+    assert peak_mb < 5
 
 
 # block logs are finite with |x| <= 1; these draw magnitudes 1e-30..1, zeros too

@@ -41,6 +41,11 @@ def test_primes_in_small_blocks_equal_one_shot(monkeypatch):
     assert primes_in(2, 10_000) == one_shot
 
 
+def test_prime_blocks_count_to_1e8():
+    # pi(10^8), from the 24 blocks of one pass
+    assert sum(len(b) for b in primal.prime_blocks(2, 10**8)) == 5_761_455
+
+
 # windows [a, a + width]: small ones, and ones near 1e9 whose base primes
 # reach past 2^14, where sieve_segment strikes by fancy indexing
 windows = st.one_of(

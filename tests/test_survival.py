@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gapsieve import build_primorial_cycle
+from gapsieve import build_primorial_cycle, primal
 from gapsieve.census import Constellation
 from gapsieve.cli import main
 from gapsieve.cycle import cycle_for_factors, write_cache
@@ -66,6 +66,18 @@ def test_actual_gap_count_budget():
         actual_gap_count(2, SIEVE_BUDGET + 1, 2)
 
 
+def test_actual_gap_count_checks_the_window_before_sieving(monkeypatch):
+    # primes_in's errors and messages, raised before any block is sieved
+    def no_sieve(*args):
+        raise AssertionError("sieved before checking the window")
+
+    monkeypatch.setattr(primal, "sieve_segment", no_sieve)
+    with pytest.raises(ValueError, match=r"^inverted range \[10, 5\]$"):
+        actual_gap_count(10, 5, 2)
+    with pytest.raises(CapacityError, match=f"^upper bound {SIEVE_BUDGET + 1} exceeds sieve budget"):
+        actual_gap_count(2, SIEVE_BUDGET + 1, 2)
+
+
 def brute_force_gap_count(a: int, b: int, pattern: list[int]) -> int:
     """Reference count: trial-divide [a, b], then match the pattern at each position."""
     ps = [n for n in range(a, b + 1) if is_prime(n)]
@@ -90,6 +102,31 @@ def test_actual_gap_count_matches_brute_force(a, width, pattern):
     assert actual_gap_count(a, b, Constellation(tuple(pattern))) == (
         brute_force_gap_count(a, b, pattern)
     )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(-5, 1500),
+    st.integers(0, 1500),
+    st.lists(st.sampled_from([2, 4, 6, 8, 10, 12, 14]), min_size=1, max_size=3),
+    st.sampled_from([3, 7, 31, 101]),
+)
+@example(2, 20, [2, 2], 3)  # 3, 5, 7: the one 2,2 run, its primes in two blocks
+@example(11, 40, [2, 4, 2], 7)  # windows that cross several block ends
+def test_actual_gap_count_across_small_blocks(a, width, pattern, block):
+    # with a small odd block, windows cross block ends and some blocks hold no prime
+    b = min(a + width, 1500)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(primal, "SIEVE_BLOCK", block)
+        got = actual_gap_count(a, b, Constellation(tuple(pattern)))
+    assert got == brute_force_gap_count(a, b, pattern)
+
+
+def test_actual_gap_count_to_1e8_in_bounded_memory(traced_peak):
+    # twin primes below 10^8; a list of the 5.76M primes peaked at 311 MB
+    count, peak_mb = traced_peak(lambda: actual_gap_count(2, 10**8, 2))
+    assert count == 440_312
+    assert peak_mb < 16
 
 
 ERROR_HEADER = "p_k,p_next,target,estimate,actual,rel_error"
