@@ -28,22 +28,14 @@ from .cycle import (
     write_cache,
 )
 from .dynsys import (
-    Validity,
     asymptotic_ratio,
     crossover,
     eigenvalue_products,
     iterate,
     polynomial_approx,
     step,
-    validity,
 )
-from .polignac import (
-    RepetitionSpec,
-    hl_ratio,
-    partial_ratio,
-    repetition_weight,
-    seeded_total,
-)
+from .polignac import crt_total, singular_ratio
 from .primal import (
     CapacityError,
     phi_i,

@@ -33,7 +33,7 @@ class Constellation:
             raise ValueError("empty constellation")
         for g in self.gaps:
             if g <= 0 or g % 2 != 0:
-                raise ValueError(f"gaps must be positive even integers: {self.gaps}")
+                raise ValueError(f"gap must be a positive even integer: {g}")
 
     @classmethod
     def parse(cls, text: str) -> "Constellation":

@@ -19,7 +19,7 @@ from . import census as census_mod
 from . import cycle as cycle_mod
 from . import dynsys, polignac, refvalues, survival
 from .census import Constellation
-from .primal import CapacityError, primes_in, primes_upto
+from .primal import CapacityError, next_prime, primes_in, primes_upto, radical_of_even
 
 CACHE_ENV = "GAPSIEVE_CACHE_DIR"
 PRINT_LIMIT = 100_000  # refuse to dump larger cycles to stdout
@@ -64,13 +64,13 @@ def _write_csv(path: str | None, lines: Iterable[str | tuple]) -> None:
 
 def _model_vector(cycle: cycle_mod.GapCycle, gap: int) -> census_mod.PopulationVector:
     """The gap's population vector, refused where the model is not exact."""
-    fit = dynsys.validity(gap, cycle.prime)
-    if fit is not dynsys.Validity.FULL:
+    s, nxt = Constellation((gap,)), next_prime(cycle.prime)
+    if s.span >= 2 * nxt:
         raise ValueError(
-            f"gap {gap} is {fit.value} at stage {cycle.prime}; the model is exact only "
-            "for spans below twice the next stage prime"
+            f"gap {gap} at stage {cycle.prime} is not below 2 * {nxt} = {2 * nxt}; the model is "
+            "exact only for spans below twice the next stage prime"
         )
-    return census_mod.census_for(cycle, gap)
+    return census_mod.census_for(cycle, s)
 
 
 def cmd_build(args) -> int:
@@ -157,32 +157,25 @@ def cmd_asymptotic(args) -> int:
     if args.constellation:
         if args.gap is not None or args.at_prime is not None:
             raise ValueError("--gap and --at-prime do not apply to --constellation")
-        if not args.cycle:
-            raise ValueError("--constellation needs --cycle FILE for initial conditions")
         s = Constellation.parse(args.constellation)
-        cycle = _read_cycle(args.cycle)
-        if dynsys.validity(s, cycle.prime) is dynsys.Validity.INVALID:
-            raise ValueError(
-                f"constellation {s} is not valid at stage {cycle.prime}; "
-                "an interval sum has a larger prime factor"
-            )
-        print(dynsys.asymptotic_ratio(census_mod.census_for(cycle, s)))
-        return 0
-    if args.gap is None:
+    elif args.gap is None:
         raise ValueError("pass --gap G or --constellation LIST")
-    if args.cycle:
-        raise ValueError("--cycle applies to --constellation only; a gap's ratio is closed-form")
-    at_prime = args.gap if args.at_prime is None else args.at_prime
-    print(polignac.partial_ratio(args.gap, at_prime))
+    else:
+        s = Constellation((args.gap,))
+    print(polignac.singular_ratio((0, *accumulate(s.gaps)), args.at_prime))
     return 0
 
 
 def cmd_repetition(args) -> int:
-    spec = polignac.repetition_weight(args.gap, args.length)
-    w_part = polignac.partial_ratio(args.gap, spec.radical[-1])
-    w_inf, feasible = (spec.w_infinity, "true") if spec.feasible else ("", "false")
+    g = args.gap
+    qbar = radical_of_even(g)[-1]
+    if args.length < 1:
+        raise ValueError(f"repetition length must be >= 1, got {args.length}")
+    # lengths from 2 * qbar on are all infeasible: a prime in (qbar, 2 * qbar) does not divide g
+    w_inf = polignac.singular_ratio(range(0, (min(args.length, 2 * qbar) + 1) * g, g))
     _write_csv(None, [("g", "qbar", "w_partial", "w_infinity", "feasible"),
-                      (spec.g, spec.radical[-1], w_part, w_inf, feasible)])
+                      (g, qbar, polignac.singular_ratio((0, g), qbar), w_inf or "",
+                       "true" if w_inf else "false")])
     return 0
 
 
@@ -250,7 +243,7 @@ def _reproduce_table2() -> list[str]:
         got = census_mod.census_for(cycle, g).vector()
         got = got + [0] * (len(expected) - len(got))
         ok = got == expected
-        w = polignac.hl_ratio(g)
+        w = polignac.singular_ratio((0, g))
         ok_w = w == refvalues.GAP_W_INFINITY[g]
         lines.append(f"gap {g}: counts {'PASS' if ok else 'FAIL ' + str(got)}, "
                      f"w_inf {'PASS' if ok_w else 'FAIL ' + str(w)}")
@@ -405,7 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gap", type=_gap)
     p.add_argument("--at-prime", type=int, help="partial product attained by this stage")
     p.add_argument("--constellation", metavar="LIST")
-    p.add_argument("--cycle", help="cycle file for constellation initial conditions")
     p.set_defaults(func=cmd_asymptotic)
 
     p = sub.add_parser("repetition", help="feasibility and weight of a repeated gap")

@@ -20,20 +20,13 @@ SIEVE_BLOCK partition, not the batch size, fixes a_j's low bits.
 from __future__ import annotations
 
 import math
-from enum import Enum
 from fractions import Fraction
 from math import comb
 
 import numpy as np
 
-from .census import Constellation, PopulationVector, as_constellation
-from .primal import (
-    factorize,
-    is_prime,
-    next_prime,
-    prime_blocks,
-    primes_in,
-)
+from .census import PopulationVector
+from .primal import is_prime, prime_blocks, primes_in
 
 
 def step(v: PopulationVector, p: int) -> PopulationVector:
@@ -92,31 +85,6 @@ def evaluate_polynomial(coeffs: tuple[Fraction, ...], x: Fraction) -> Fraction:
     for m in reversed(range(len(coeffs))):
         acc = acc * x + (-1) ** m * coeffs[m]
     return acc
-
-
-class Validity(Enum):
-    """How much of the model applies for a target seeded at a given stage."""
-
-    FULL = "full"
-    ASYMPTOTIC_ONLY = "asymptotic-only"
-    INVALID = "invalid"
-
-
-def validity(target: Constellation | int, p0: int) -> Validity:
-    """FULL when the span is under twice the next stage prime; otherwise the
-    asymptotic limit still applies if every interval sum of the target has
-    all prime factors <= p0."""
-    s = as_constellation(target)
-    if s.span < 2 * next_prime(p0):
-        return Validity.FULL
-    n = s.length
-    for i in range(n):
-        acc = 0
-        for j in range(i, n):
-            acc += s.gaps[j]
-            if max(q for q, _ in factorize(acc)) > p0:
-                return Validity.INVALID
-    return Validity.ASYMPTOTIC_ONLY
 
 
 # primes per batch of logs in eigenvalue_products; any size gives the same a_j

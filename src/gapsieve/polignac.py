@@ -1,95 +1,65 @@
-"""Closed-form asymptotics for gap and repetition populations.
+"""Closed-form asymptotics: one Hardy–Littlewood product for every weight.
 
-Every even gap eventually appears in the sieve, and its population relative
-to the gap 2 converges to a product over the odd primes dividing it; the
-same machinery gives the count of seed driving terms at the stage of the
-gap's largest prime factor, partial products at intermediate stages, and the
-asymptotic weights of repeated-gap constellations (consecutive candidates in
-arithmetic progression).
+Let a constellation have points 0 = t_0 < ... < t_k and let nu(q) be the
+number of distinct t_i mod q.  A window of the stage-p cycle is a driving
+term exactly when its k + 1 boundary values are coprime to p#, so by the
+Chinese remainder theorem the census total is crt_total = prod_{q <= p}
+(q - nu(q)).  Divided by the count of the generic (k+1)-tuple, the product
+converges once p passes every prime factor of an interval sum t_j - t_i:
+singular_ratio is the ratio of the constellation's singular series to the
+generic one (Hardy and Littlewood, "Some problems of 'Partitio numerorum'
+III", Acta Math. 44 (1923)).  A gap g is the points (0, g), and a
+repetition of g, consecutive candidates in arithmetic progression, is
+range(0, (n + 1) * g, g); a weight of 0 means the pattern is infeasible.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
-from .primal import (
-    PRIME_FACTOR_CAP,
-    CapacityError,
-    next_prime,
-    phi_i,
-    primes_upto,
-    radical_of_even,
-)
+from .primal import factorize, next_prime, primes_upto
 
 
-def hl_ratio(g: int) -> Fraction:
-    """Asymptotic ratio of the gap g to the gap 2: prod (q-1)/(q-2) over odd q | g."""
-    return partial_ratio(g, g)
+def _classes(points: Sequence[int], q: int) -> int:
+    """nu(q): the residues mod q among the points, counted until all q appear.
 
-
-def partial_ratio(g: int, p: int) -> Fraction:
-    """The ratio attained by stage p: only odd factors of g up to p contribute."""
-    r = Fraction(1)
-    for q in radical_of_even(g)[1:]:
-        if q <= p:
-            r *= Fraction(q - 1, q - 2)
-    return r
-
-
-def seeded_total(g: int) -> int:
-    """Total driving terms for g at the stage of its largest prime factor.
-
-    With Q the radical of g and qbar its largest prime, the count is
-    phi(Q) times prod (p - 2) over primes p < qbar not dividing Q.
+    A range is an arithmetic progression, whose first q terms show all its residues.
     """
-    rad = radical_of_even(g)
-    qbar = rad[-1]
-    if qbar > PRIME_FACTOR_CAP:
-        raise CapacityError(
-            f"largest factor {qbar} of {g} exceeds the stage cap {PRIME_FACTOR_CAP}"
-        )
-    total = phi_i(1, rad)
-    for p in primes_upto(qbar - 1):
-        if p not in rad:
-            total *= p - 2
+    seen: set[int] = set()
+    for t in points[:q] if isinstance(points, range) else points:
+        seen.add(t % q)
+        if len(seen) == q:
+            break
+    return len(seen)
+
+
+def crt_total(points: Sequence[int], p: int) -> int:
+    """prod (q - nu(q)) over primes q <= p: the driving terms in the stage-p cycle."""
+    total, q = 1, 2
+    while total and q <= p:
+        total *= q - _classes(points, q)
+        q = next_prime(q)
     return total
 
 
-@dataclass(frozen=True)
-class RepetitionSpec:
-    """Feasibility and asymptotic weight of the constellation g,g,...,g."""
+def singular_ratio(points: Sequence[int], upto: int | None = None) -> Fraction:
+    """The asymptotic weight of the points, or the ratio attained by stage ``upto``.
 
-    g: int
-    j1: int
-    feasible: bool
-    w_infinity: Fraction | None
-    radical: tuple[int, ...]
-
-
-def repetition_weight(g: int, j1: int) -> RepetitionSpec:
-    """Weight of a length-j1 repetition of g among constellations of that length.
-
-    Feasible iff j1 < P - 1, where P is the next prime after the largest p
-    whose primorial divides g; the weight is then phi_1(Q)/phi_(j1+1)(Q) for
-    Q the radical of g.  A feasible repetition of length j1 corresponds to
-    j1+1 consecutive candidates in arithmetic progression.
+    The primes up to k + 1 contribute q - nu(q), and 0 ends the product.  A
+    larger q changes the ratio only if it divides an interval sum, where it
+    contributes (q - nu(q)) / (q - k - 1).
     """
-    rad = radical_of_even(g)
-    if j1 < 1:
-        raise ValueError(f"repetition length must be >= 1, got {j1}")
-    largest = 2
-    acc = 2
-    p = 2
-    while True:
-        p = next_prime(p)
-        acc *= p
-        if g % acc != 0:
-            break
-        largest = p
-    feasible = j1 < next_prime(largest) - 1
-    w = Fraction(phi_i(1, rad), phi_i(j1 + 1, rad)) if feasible else None
-    return RepetitionSpec(g, j1, feasible, w, rad)
+    k1 = len(points)
+    num = crt_total(points, k1 if upto is None else min(k1, upto))
+    den = 1
+    if num:
+        sums = {b - a for i, a in enumerate(points) for b in points[i + 1:]}
+        for q in {q for d in sums for q, _ in factorize(d)}:
+            if k1 < q and (upto is None or q <= upto):
+                num *= q - _classes(points, q)
+                den *= q - k1
+    return Fraction(num, den)
 
 
 def repetition_feasible_by_divisibility(g: int, j1: int) -> bool:

@@ -27,7 +27,7 @@ from gapsieve.dynsys import (
     eigenvalue_products,
     iterate,
 )
-from gapsieve.polignac import hl_ratio, repetition_feasible_by_divisibility, repetition_weight
+from gapsieve.polignac import repetition_feasible_by_divisibility, singular_ratio
 from gapsieve.primal import primes_in, primes_upto
 from gapsieve.cli import main
 from gapsieve.survival import actual_gap_count, attrition, error_report, fold_confirmed_front
@@ -73,7 +73,7 @@ def test_criterion_2_census_table(g13):
     for g, expected in sorted(refvalues.GAP_CENSUS_13.items()):
         census = census_for(cycle, g)
         assert census.vector() == expected, f"gap {g}"  # nothing beyond the table's length
-        assert hl_ratio(g) == refvalues.GAP_W_INFINITY[g]
+        assert singular_ratio((0, g)) == refvalues.GAP_W_INFINITY[g]
         assert asymptotic_ratio(PopulationVector.from_census(census)) == refvalues.GAP_W_INFINITY[g]
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0, f"census took {elapsed:.2f}s"
@@ -96,9 +96,9 @@ def test_criterion_3_model_vs_census(g5, g7, g11, g13):
 
 def test_criterion_4_asymptotics(g13):
     for g, expected in refvalues.GAP_W_INFINITY.items():
-        assert hl_ratio(g) == expected
+        assert singular_ratio((0, g)) == expected
     for g, text in refvalues.ASYMPTOTIC_74_132.items():
-        assert f"{float(hl_ratio(g)):.4f}" == text
+        assert f"{float(singular_ratio((0, g))):.4f}" == text
     cycles = {}
     for text, _span, j1, top, p0, counts, w_inf in refvalues.CONSTELLATION_CASES:
         s = Constellation.parse(text)
@@ -232,5 +232,6 @@ def test_criterion_9_property_suite(g5, g7, g11, g13):
 
     for g in range(2, 10_001, 2):
         for j1 in range(1, 21):
-            assert repetition_weight(g, j1).feasible == repetition_feasible_by_divisibility(g, j1)
+            feasible = singular_ratio(range(0, (j1 + 1) * g, g)) != 0
+            assert feasible == repetition_feasible_by_divisibility(g, j1)
     report(9, "cycle, census symmetry, ratio-sum, and feasibility properties")

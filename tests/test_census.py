@@ -23,8 +23,8 @@ from gapsieve.cycle import (
     extend_cycle,
     oracle_cycle,
 )
-from gapsieve.dynsys import PopulationVector, Validity, iterate, validity
-from gapsieve.primal import primes_upto
+from gapsieve.dynsys import PopulationVector, iterate
+from gapsieve.primal import next_prime, primes_upto
 from gapsieve.refvalues import GAP_CENSUS_13
 
 
@@ -333,7 +333,7 @@ def test_stage19_census_matches_model(g13):
     assert census_for(build_primorial_cycle(19), 30).vector() == expected
 
 
-# every gap and every 2-gap constellation of span <= 32, all Validity.FULL from stage 13
+# every gap and every 2-gap constellation of span <= 32, below 2 * next_prime(13) = 34
 MODEL_TARGETS = [Constellation((g,)) for g in range(2, 33, 2)] + [
     Constellation((a, b)) for a in range(2, 31, 2) for b in range(2, 33 - a, 2)
 ]
@@ -343,6 +343,6 @@ def test_kernel_matches_population_model(g13):
     assert len(MODEL_TARGETS) == 136
     g17 = build_primorial_cycle(17)
     for s in MODEL_TARGETS:
-        assert validity(s, 13) is Validity.FULL
+        assert s.span < 2 * next_prime(13)
         model = iterate(PopulationVector.from_census(census_for(g13, s)), 13, 17)
         assert census_for(g17, s).vector(model.max_length) == list(model.entries), s

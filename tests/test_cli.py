@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from gapsieve.census import Constellation, census_for
 from gapsieve.cli import main
 from gapsieve.cycle import GapCycle, build_primorial_cycle, read_cache, write_cache
 from gapsieve.dynsys import PopulationVector, iterate
-from gapsieve.primal import primes_in
+from gapsieve.primal import next_prime, primes_in
 
 
 def csv_rows(path):
@@ -141,8 +142,7 @@ def test_unreadable_cycle_path_exits_1(tmp_path, capsys, command, where):
 @pytest.mark.parametrize(
     "command",
     [["verify"], ["census", "--gap", "2"], ["model", "--gap", "2", "--to-prime", "17"],
-     ["asymptotic", "--constellation", "2,10,2"], ["crossover", "--gap-a", "30", "--gap-b", "6"],
-     ["attrition"]],
+     ["crossover", "--gap-a", "30", "--gap-b", "6"], ["attrition"]],
     ids=lambda c: c[0],
 )
 def test_cycle_file_is_read_memory_mapped(cycle13, cache_reads, capsys, command):
@@ -177,7 +177,6 @@ CYCLE_COMMANDS = {
     "verify": ["verify"],
     "census": ["census", "--gap", "2"],
     "model": ["model", "--gap", "2", "--to-prime", "13"],
-    "asymptotic": ["asymptotic", "--constellation", "2,4"],
     "crossover": ["crossover", "--gap-a", "2", "--gap-b", "4"],
     "attrition": ["attrition"],
 }
@@ -186,7 +185,7 @@ CYCLE_COMMANDS = {
 @pytest.mark.parametrize(
     "kind, command",
     [*((kind, c) for kind in ("zero-gap", "zero-gap-palindrome", "wrong-total")
-       for c in ("census", "model", "asymptotic", "crossover", "attrition")),
+       for c in ("census", "model", "crossover", "attrition")),
      *(("no-factor", c) for c in CYCLE_COMMANDS)],
 )
 def test_malformed_cache_exits_1(tmp_path, capsys, kind, command):
@@ -444,7 +443,10 @@ def test_model_rejects_target_not_fully_valid(tmp_path, capsys):
                  "--csv", str(csv)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "asymptotic-only at stage 7" in captured.err
+    assert captured.err == (
+        "error: gap 30 at stage 7 is not below 2 * 11 = 22; the model is exact only "
+        "for spans below twice the next stage prime\n"
+    )
     assert not csv.exists()
 
 
@@ -458,9 +460,36 @@ def test_asymptotic_gap(capsys):
     assert capsys.readouterr().out.strip() == "1"
 
 
-def test_asymptotic_constellation(cycle13, capsys):
-    assert main(["asymptotic", "--constellation", "2,10,2,10,2", "--cycle", cycle13]) == 0
-    assert capsys.readouterr().out.strip() == "144/35"
+def test_asymptotic_constellation(capsys):
+    # the census-derived ratios of reproduce table5, here with no cycle
+    for text, *_, w_inf in refvalues.CONSTELLATION_CASES:
+        assert main(["asymptotic", "--constellation", text]) == 0
+        assert capsys.readouterr().out == f"{w_inf}\n", text
+
+
+@pytest.mark.parametrize("text", ["4,4", "8,8", "2,2,2"])
+def test_asymptotic_constellation_covering_every_residue_is_zero(capsys, text):
+    # three points spaced g, g with 3 not dividing g fill every residue mod 3;
+    # the stage-2 census of 4,4 counted a driving term and printed 1
+    assert main(["asymptotic", "--constellation", text]) == 0
+    assert capsys.readouterr().out == "0\n"
+
+
+def test_asymptotic_constellation_needs_no_cycle(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("GAPSIEVE_CACHE_DIR", str(tmp_path / "cache"))
+    assert main(["asymptotic", "--constellation", "2,10,2"]) == 0
+    assert capsys.readouterr().out == "8/3\n"
+    assert not any(tmp_path.iterdir())
+
+
+def test_asymptotic_constellation_takes_no_cycle(cycle13, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["asymptotic", "--constellation", "2,10,2", "--cycle", cycle13])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: --cycle {cycle13}" in captured.err
 
 
 @pytest.mark.parametrize(
@@ -468,19 +497,21 @@ def test_asymptotic_constellation(cycle13, capsys):
     [["--gap", "30"], ["--at-prime", "5"], ["--gap", "30", "--at-prime", "5"]],
     ids=["gap", "at-prime", "gap-and-at-prime"],
 )
-def test_asymptotic_rejects_constellation_with_gap_flags(cycle13, capsys, extra):
-    assert main(["asymptotic", "--constellation", "2,10,2", "--cycle", cycle13, *extra]) == 1
+def test_asymptotic_rejects_constellation_with_gap_flags(capsys, extra):
+    assert main(["asymptotic", "--constellation", "2,10,2", *extra]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
 
 
 def test_asymptotic_gap_rejects_cycle(cycle13, capsys):
-    # a gap's ratio is closed-form; a cycle would be read for nothing
-    assert main(["asymptotic", "--gap", "30", "--cycle", cycle13]) == 1
+    # every ratio is closed-form; a cycle would be read for nothing
+    with pytest.raises(SystemExit) as exc:
+        main(["asymptotic", "--gap", "30", "--cycle", cycle13])
+    assert exc.value.code == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ")
+    assert f"unrecognized arguments: --cycle {cycle13}" in captured.err
 
 
 @pytest.mark.parametrize(
@@ -503,7 +534,7 @@ GAP_OPTIONS = {
     "census --constellation": ["census", "--cycle", "CYCLE", "--constellation", "2,{}"],
     "model --gap": ["model", "--cycle", "CYCLE", "--gap", "{}", "--to-prime", "17"],
     "asymptotic --gap": ["asymptotic", "--gap", "{}"],
-    "asymptotic --constellation": ["asymptotic", "--constellation", "2,{}", "--cycle", "CYCLE"],
+    "asymptotic --constellation": ["asymptotic", "--constellation", "2,{}"],
     "repetition --gap": ["repetition", "--gap", "{}", "--length", "2"],
     "crossover --gap-a": ["crossover", "--gap-a", "{}", "--gap-b", "6", "--cycle", "CYCLE"],
     "crossover --gap-b": ["crossover", "--gap-a", "30", "--gap-b", "{}", "--cycle", "CYCLE"],
@@ -565,6 +596,14 @@ def test_repetition(capsys):
     assert out[1].endswith("false")
 
 
+def test_long_repetition_is_instant(capsys):
+    # 7 does not divide 30: the product is 0 at q = 7, whatever the length
+    t0 = time.perf_counter()
+    assert main(["repetition", "--gap", "30", "--length", "100000000"]) == 0
+    assert time.perf_counter() - t0 < 1.0
+    assert capsys.readouterr().out.splitlines()[1] == "30,5,8/3,,false"
+
+
 def test_ajk(capsys):
     assert main(["ajk", "--p0", "13", "--pk", "17", "--jmax", "2"]) == 0
     out = capsys.readouterr().out
@@ -594,10 +633,11 @@ def test_crossover_rejects_target_not_fully_valid(tmp_path, capsys, prime, gap_a
     assert main(["crossover", "--gap-a", str(gap_a), "--gap-b", str(gap_b),
                  "--cycle", path]) == 1
     captured = capsys.readouterr()
+    nxt = next_prime(prime)
     assert captured.out == ""
     assert captured.err == (
-        f"error: gap {gap_a} is asymptotic-only at stage {prime}; the model is exact "
-        "only for spans below twice the next stage prime\n"
+        f"error: gap {gap_a} at stage {prime} is not below 2 * {nxt} = {2 * nxt}; "
+        "the model is exact only for spans below twice the next stage prime\n"
     )
 
 

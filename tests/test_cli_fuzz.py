@@ -80,7 +80,6 @@ def options(paths):
             "--gap": gap,
             "--at-prime": one(small(-2, 1000)),
             "--constellation": one(constellation()),
-            "--cycle": cycle,
         },
         "repetition": {"--gap": gap, "--length": one(small(-2, 12))},
         "ajk": {
@@ -132,8 +131,7 @@ def test_random_argv_never_tracebacks(paths, data):
 @pytest.mark.parametrize(
     "command",
     [["verify", "--oracle"], ["census", "--gap", "2"], ["model", "--gap", "2", "--to-prime", "17"],
-     ["asymptotic", "--constellation", "2,4"], ["crossover", "--gap-a", "2", "--gap-b", "4"],
-     ["attrition", "--csv", "-"]],
+     ["crossover", "--gap-a", "2", "--gap-b", "4"], ["attrition", "--csv", "-"]],
     ids=lambda c: c[0],
 )
 def test_every_cycle_path_exits_with_a_code(paths, capsys, command):

@@ -10,7 +10,6 @@ from gapsieve import dynsys, primal
 from gapsieve.census import Constellation, census_for
 from gapsieve.dynsys import (
     PopulationVector,
-    Validity,
     _exact_sum,
     asymptotic_ratio,
     crossover,
@@ -19,7 +18,6 @@ from gapsieve.dynsys import (
     iterate,
     polynomial_approx,
     step,
-    validity,
 )
 from gapsieve.primal import SIEVE_BLOCK, phi_i, primes_upto
 
@@ -137,12 +135,6 @@ def test_polynomial_approx(g5):
     # x = 1 telescopes back to the stage-5 value; x = 0 is the limit
     assert evaluate_polynomial(c6, F(1)) == v6.ratios[0]
     assert evaluate_polynomial(c6, F(0)) == F(2)
-
-
-def test_validity_cases():
-    assert validity(30, 13) is Validity.FULL
-    assert validity(Constellation((30, 30, 30, 30)), 5) is Validity.ASYMPTOTIC_ONLY
-    assert validity(74, 5) is Validity.INVALID
 
 
 def test_eigenvalue_products_single_factor():
