@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .primal import factorize, next_prime, primes_upto
+from .primal import factorize, is_prime, next_prime
 
 
 def _classes(points: Sequence[int], q: int) -> int:
@@ -64,4 +64,4 @@ def singular_ratio(points: Sequence[int], upto: int | None = None) -> Fraction:
 
 def repetition_feasible_by_divisibility(g: int, j1: int) -> bool:
     """Equivalent feasibility test: every prime up to j1+1 must divide g."""
-    return all(g % p == 0 for p in primes_upto(j1 + 1))
+    return all(g % p == 0 for p in range(2, j1 + 2) if is_prime(p))

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from gapsieve import census as census_mod
 from gapsieve import cycle as cycle_mod
 from gapsieve.census import (
     Constellation,
@@ -208,6 +209,18 @@ def small_slices():
         yield
 
 
+# WALK_STEPS values that send every census to the position table or to the walk
+KERNELS = {"table": 0, "walk": 10**6}
+
+
+@contextmanager
+def kernel(name):
+    """Count every census window with one kernel, whatever its span."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(census_mod, "WALK_STEPS", KERNELS[name])
+        yield
+
+
 @st.composite
 def squarefree_factors(draw, even=False):
     """Ascending distinct primes whose product is at most 1e5 (with 2 among them if even)."""
@@ -233,13 +246,36 @@ def squarefree_factors(draw, even=False):
 def test_kernel_matches_brute_force(factors, target):
     cyc = _cycle(factors)
     s = Constellation(tuple(target))
-    got = census_for(cyc, s)
-    expected = brute_force_census(cyc.gaps.tolist(), s)
-    assert got.vector() == dense(expected, s.length)
-    assert all(type(e) is int for e in got.entries) and (got.entries[-1] or got.entries == (0,))
-    assert got.population == population_count(cyc, s)
-    with small_slices():
-        assert census_for(cyc, s).vector() == dense(expected, s.length)
+    expected = dense(brute_force_census(cyc.gaps.tolist(), s), s.length)
+    for name in KERNELS:
+        with kernel(name):
+            got = census_for(cyc, s)
+            assert got.vector() == expected, name
+            assert all(type(e) is int for e in got.entries)
+            assert got.entries[-1] or got.entries == (0,)
+            assert got.population == population_count(cyc, s)
+            with small_slices():
+                assert census_for(cyc, s).vector() == expected, name
+
+
+@pytest.mark.parametrize("name", KERNELS)
+def test_walk_sums_past_u16(name):
+    # gaps of 2000-8000, so the walk's sums pass 0xFFFF within its at most 33
+    # steps: 7536 and eleven 8000s sum to 30,000 mod 2^16, and the spans of
+    # 66,000 pass it themselves
+    rng = random.Random(22)
+    gaps = [rng.choice((2000, 3000, 4000)) for _ in range(300)]
+    gaps[100:112] = [7536] + [8000] * 11
+    cyc = cycle_mod.GapCycle((2,), np.array(gaps, np.uint16))
+    for s in (Constellation((30_000,)), Constellation((10_000, 20_000)),
+              Constellation((66_000,)), Constellation((30_000, 36_000))):
+        assert s.span // 2000 <= census_mod.WALK_STEPS
+        expected = dense(brute_force_census(gaps, s), s.length)
+        assert sum(expected) > 0, s
+        with kernel(name):
+            assert census_for(cyc, s).vector() == expected, s
+            with small_slices():
+                assert census_for(cyc, s).vector() == expected, s
 
 
 @settings(max_examples=40, deadline=None)
@@ -345,4 +381,6 @@ def test_kernel_matches_population_model(g13):
     for s in MODEL_TARGETS:
         assert s.span < 2 * next_prime(13)
         model = iterate(PopulationVector.from_census(census_for(g13, s)), 13, 17)
-        assert census_for(g17, s).vector(model.max_length) == list(model.entries), s
+        for name in KERNELS:
+            with kernel(name):
+                assert census_for(g17, s).vector(model.max_length) == list(model.entries), (s, name)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gapsieve import census
 from gapsieve.census import Constellation, census_for
 from gapsieve.cycle import build_primorial_cycle
 from gapsieve.dynsys import PopulationVector, asymptotic_ratio
@@ -167,6 +168,16 @@ def test_crt_total_is_the_census_total_at_later_stages(cycles, p):
     for gaps in ((2,), (38,), (2, 4), (4, 4), (6, 6), (2, 10, 2), (30, 30), (2, 4, 2, 4),
                  (6, 12, 18, 24), (34, 2, 38), (22, 26)):
         assert crt_total(points(gaps), p) == census_for(cycles[p], Constellation(gaps)).total
+
+
+def test_crt_total_on_both_census_kernels(cycles):
+    # the census walks windows of up to WALK_STEPS gaps and tables wider ones
+    walked = [(30,), (90,), (2, 10, 2)]
+    tabled = [(150,), (42, 60, 42)]
+    for gaps in walked + tabled:
+        assert (sum(gaps) // 2 <= census.WALK_STEPS) == (gaps in walked)
+        s = Constellation(gaps)
+        assert census_for(cycles[19], s).total == crt_total(points(gaps), 19), gaps
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
