@@ -11,10 +11,15 @@ applies L to the ratios, so the tests check L * M = Lambda * L through the
 two, coefficient m scaling by (p - j1 - 1 - m) / (p - j1 - 1) per stage.
 
 Counts are exact integers and ratios exact rationals; only the long
-eigenvalue products accumulate in log space.  They hold one prime block of
+eigenvalue products accumulate in log space, as log1p(-(j - 1)/(p - 2)) per
+prime.  From the prime 2 + (jmax - 1) 2^15 up, every j comes from the same
+two to four power sums of 1/(p - 2), the series cut where its tail falls
+2^-60 below each term; below that prime the series converges too slowly,
+so each j keeps its own np.log1p.  The products hold one prime block of
 primal.prime_blocks at a time, plus four float64 buffers of _BATCH primes,
-whatever the range; each SIEVE_BLOCK's log sum is still rounded once, so the
-SIEVE_BLOCK partition, not the batch size, fixes a_j's low bits.
+whatever the range; each SIEVE_BLOCK's log sum is rounded once, from the
+exact sum of its terms, so the SIEVE_BLOCK partition, not the batch size,
+fixes a_j's low bits.
 """
 
 from __future__ import annotations
@@ -87,21 +92,19 @@ def evaluate_polynomial(coeffs: tuple[Fraction, ...], x: Fraction) -> Fraction:
     return acc
 
 
-# primes per batch of logs in eigenvalue_products; any size gives the same a_j
+# primes per batch in eigenvalue_products; any size gives the same a_j
 _BATCH = 1 << 14
 
 
 def eigenvalue_products(p0: int, pk: int, jmax: int) -> dict[int, float]:
     """Products of (p - j - 1)/(p - 2) over stage primes in (p0, pk], j = 2..jmax.
 
-    Each product is exp of a sum of logs.  The logs of each fixed prime block
-    of prime_blocks sum to one correctly rounded float, the value math.fsum
-    gives, and math.fsum adds the block sums, so the result is deterministic
-    and keeps well over 12 significant digits.  The logs are taken _BATCH
-    primes at a time in four float64 buffers allocated once per call, so the
-    working memory is one block plus those buffers.  The batches only split
-    each block's exact level sums, and math.fsum rounds all of a block's
-    levels together, so the rounding point is still the SIEVE_BLOCK.
+    Each product is exp of a sum of logs, log1p(-(j - 1)/(p - 2)).  The
+    primes come one block of prime_blocks at a time, _block_log_sums rounds
+    each block's sum once, and math.fsum adds the block sums, so the
+    SIEVE_BLOCK partition fixes a_j's low bits.  The working memory is one
+    block plus four float64 buffers of _BATCH primes, allocated once per
+    call, whatever the range.
     """
     if jmax < 2:
         raise ValueError(f"jmax {jmax} must be at least 2")
@@ -112,21 +115,72 @@ def eigenvalue_products(p0: int, pk: int, jmax: int) -> dict[int, float]:
     sums = {j: [] for j in range(2, jmax + 1)}
     buffers = np.empty((4, _BATCH))
     for ps in prime_blocks(p0 + 1, pk):
-        levels = {j: [] for j in sums}
-        for lo in range(0, len(ps), _BATCH):
-            # the last batch is short; no name keeps a view of the block
-            x, den, logs, scratch = buffers[:, : len(ps) - lo]
-            np.copyto(x, ps[lo : lo + len(x)])
-            np.subtract(x, 2.0, out=den)
-            for j, parts in levels.items():
-                np.subtract(x, j + 1, out=logs)
-                logs /= den
-                np.log(logs, out=logs)
-                _exact_levels(logs, scratch, parts)
-        for j, parts in levels.items():
-            sums[j].append(math.fsum(parts))
+        for j, s in _block_log_sums(ps, jmax, buffers).items():
+            sums[j].append(s)
         del ps  # the loop variable would keep the block alive while the next one is sieved
     return {j: math.exp(math.fsum(parts)) for j, parts in sums.items()}
+
+
+def _block_log_sums(ps: np.ndarray, jmax: int, buffers: np.ndarray) -> dict[int, float]:
+    """Sums of log1p(-(j - 1) x), x = 1/(p - 2), over the primes ps, each rounded once.
+
+    Primes from cut = 2 + (jmax - 1) 2^15 up share their terms: there
+    log1p(-(j - 1) x) = -sum_m (j - 1)^m x^m / m, so the block takes M power
+    sums S_m = sum x^m for all j at once.  M is the least m with
+    t^m/(m + 1) <= 2^-60, t = (jmax - 1)/(p - 2) at the least such prime of
+    the block.  Each dropped tail is then below 2^-60 of its term, and all
+    tails have one sign, so the truncated series is within 2^-60, relatively,
+    of the primes' exact sum.  M <= 4 by the cut, and M = 2 near 1e11.
+    Below the cut t can be near 1 and the series needs too many terms, so
+    those primes keep one np.log1p per j, of -(j - 1)/(p - 2) rounded once,
+    as math.log1p takes it.
+
+    The work goes _BATCH primes at a time through the four rows of buffers,
+    whose exact level sums (_exact_levels) make the batch size irrelevant.
+    Per j, the block's log1p levels and -(j - 1)^m/m S_m combine exactly as
+    fractions, so each sum is rounded once, whatever the number of batches.
+    """
+    split = int(np.searchsorted(ps, 2 + (jmax - 1) * 2**15))
+    levels = {j: [] for j in range(2, jmax + 1)}
+    for lo in range(0, split, _BATCH):
+        # the last batch is short; no name keeps a view of the block
+        den, logs, scratch, _ = buffers[:, : split - lo]
+        np.copyto(den, ps[lo : lo + len(den)])
+        den -= 2.0
+        for j, parts in levels.items():
+            np.divide(1 - j, den, out=logs)
+            np.log1p(logs, out=logs)
+            _exact_levels(logs, scratch, parts)
+    power_levels: list[list[float]] = []
+    if split < len(ps):
+        power_levels = [[] for _ in range(_series_terms(jmax - 1, int(ps[split]) - 2))]
+    for lo in range(split, len(ps), _BATCH):
+        x, power, r, q = buffers[:, : len(ps) - lo]
+        np.copyto(x, ps[lo : lo + len(x)])
+        x -= 2.0
+        np.reciprocal(x, out=x)
+        np.copyto(power, x)
+        for m, parts in enumerate(power_levels):
+            if m:
+                power *= x
+            np.copyto(r, power)
+            _exact_levels(r, q, parts)
+    powers = [sum(map(Fraction, parts)) for parts in power_levels]
+    return {
+        j: float(
+            sum(map(Fraction, parts))
+            - sum(Fraction((j - 1) ** m, m) * s for m, s in enumerate(powers, 1))
+        )
+        for j, parts in levels.items()
+    }
+
+
+def _series_terms(k: int, d: int) -> int:
+    """Least m with (k/d)^m/(m + 1) <= 2^-60, in exact integers."""
+    m = 1
+    while k**m << 60 > (m + 1) * d**m:
+        m += 1
+    return m
 
 
 def _exact_sum(r: np.ndarray, q: np.ndarray) -> float:
@@ -139,15 +193,16 @@ def _exact_sum(r: np.ndarray, q: np.ndarray) -> float:
 def _exact_levels(r: np.ndarray, q: np.ndarray, levels: list[float]) -> None:
     """Append floats whose exact sum is that of r, by error-free extraction.
 
-    r is overwritten and q is scratch.  The entries must be finite with
-    |x| <= 1, as the logs of a block are.  Each level takes sigma = 2^(M + e)
-    with 2^M >= len(r) + 2 and max|r| < 2^e, and splits r into
-    q = (r + sigma) - sigma and r - q.  Both parts are exact, and every q is a
-    multiple of 2^-53 sigma no larger than 2^-M sigma, so q.sum() is exact in
-    any order (Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31 (2008),
-    Lemma 3.3).  The remainder shrinks by 2^(53 - M) per level, so a few
-    level sums hold r's sum exactly, and math.fsum over them, alone or with
-    other arrays' levels, rounds that sum once.
+    r is overwritten and q is scratch.  The entries must be finite and far
+    from overflow, as a block's logs and powers of 1/(p - 2) are.  Each
+    level takes sigma = 2^(M + e) with 2^M >= len(r) + 2 and max|r| < 2^e,
+    and splits r into q = (r + sigma) - sigma and r - q.  Both parts are
+    exact, and every q is a multiple of 2^-53 sigma no larger than
+    2^-M sigma, so q.sum() is exact in any order (Rump, Ogita and Oishi,
+    SIAM J. Sci. Comput. 31 (2008), Lemma 3.3).  The remainder shrinks by
+    2^(53 - M) per level, so a few level sums hold r's sum exactly, and
+    math.fsum over them, alone or with other arrays' levels, rounds that
+    sum once.
     """
     m = (len(r) + 1).bit_length()  # 2^m >= len(r) + 2
     while True:

@@ -133,8 +133,8 @@ def test_criterion_5_eigenvalue_products():
     for j in (2, 3):
         exact = F(tree_product([p - j - 1 for p in ps]), den)
         rel = abs(F(small[j]) - exact) / exact
-        assert rel < 1e-10, f"a_{j} drifted {float(rel)}"
-    report(5, "eigenvalue products monotone, bounded, and exact to 1e-10 at 1e6")
+        assert rel < 1e-15, f"a_{j} drifted {float(rel)}"
+    report(5, "eigenvalue products monotone, bounded, and exact to 1e-15 at 1e6")
 
 
 def test_criterion_6_crossover(g13):

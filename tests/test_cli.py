@@ -610,6 +610,14 @@ def test_ajk(capsys):
     assert "2,0.93333333333333" in out
 
 
+def test_ajk_prints_the_exact_products(capsys):
+    # the big-integer products are 0.2041271221866279... and 0.0407967154961148...
+    assert main(["ajk", "--p0", "13", "--pk", "1000000", "--jmax", "9"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "2,0.20412712218663" in lines
+    assert "3,0.04079671549611" in lines
+
+
 @pytest.mark.parametrize("p0, jmax", [(13, 1), (13, 0), (-5, -3)])
 def test_ajk_rejects_jmax_below_2(capsys, p0, jmax):
     # a_j starts at j = 2: a smaller jmax asks for no product at all

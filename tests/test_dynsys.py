@@ -143,8 +143,8 @@ def test_eigenvalue_products_single_factor():
 
 
 def test_eigenvalue_products_match_exact_oracle():
-    # exact rational product via big integers, compared at 1e-10 relative;
-    # the acceptance suite runs the same oracle at 1e6
+    # exact rational product via big integers, compared at 1e-15 relative,
+    # a few ulps; the acceptance suite runs the same oracle at 1e6
     pk = 10**5
     ps = [p for p in primes_upto(pk) if p > 13]
     prods = eigenvalue_products(13, pk, 3)
@@ -163,20 +163,21 @@ def test_eigenvalue_products_match_exact_oracle():
         num = tree_product([p - j - 1 for p in ps])
         exact = F(num, den)
         rel = abs(F(prods[j]) - exact) / exact
-        assert rel < 1e-10
+        assert rel < 1e-15
 
 
-# a_j over stage primes in (13, 2e7], which span 5 sieve blocks, as float.hex.
-# The block partition fixes the fsum rounding, so these hold bit for bit.
+# a_j over stage primes in (13, 2e7], which span 5 sieve blocks, as float.hex,
+# from log1p_reference below.  The block partition fixes the rounding, so
+# these hold bit for bit.
 A_J_13_2E7_HEX = {
-    2: "0x1.57908be975b53p-3",
-    3: "0x1.c370d01346218p-6",
-    4: "0x1.21c9634ccb601p-8",
-    5: "0x1.6a958e4c0eacdp-11",
-    6: "0x1.b8c8785ce40bbp-14",
-    7: "0x1.03507cd76124bp-16",
-    8: "0x1.25db7b1eb23acp-19",
-    9: "0x1.3ea47af597b3cp-22",
+    2: "0x1.57908be975b49p-3",
+    3: "0x1.c370d01346179p-6",
+    4: "0x1.21c9634ccb6d2p-8",
+    5: "0x1.6a958e4c0eadep-11",
+    6: "0x1.b8c8785ce4023p-14",
+    7: "0x1.03507cd761223p-16",
+    8: "0x1.25db7b1eb24b6p-19",
+    9: "0x1.3ea47af597c99p-22",
 }
 
 
@@ -209,8 +210,65 @@ def test_eigenvalue_products_hold_one_block(traced_peak):
     # float64 logs, four arrays of them, peaked at 9.75 MB
     pk = 10**9 + 2 * SIEVE_BLOCK - 1
     prods, peak_mb = traced_peak(lambda: eigenvalue_products(10**9 - 1, pk, 9))
-    assert f"{prods[2]:.14f}" == "0.99959701208220"
+    assert f"{prods[2]:.14f}" == "0.99959701208219"
     assert peak_mb < 5
+
+
+def log1p_reference(p0, pk, jmax):
+    """a_j from math.log1p per prime, each prime block's sum rounded once by math.fsum."""
+    sums = {j: [] for j in range(2, jmax + 1)}
+    for ps in primal.prime_blocks(p0 + 1, pk):
+        for j, parts in sums.items():
+            parts.append(math.fsum(math.log1p(-(j - 1) / (p - 2)) for p in ps.tolist()))
+    return {j: math.exp(math.fsum(parts)) for j, parts in sums.items()}
+
+
+def assert_within_one_ulp(got, want):
+    assert got.keys() == want.keys()
+    for j, a in want.items():
+        assert abs(got[j] - a) <= math.ulp(a), (j, got[j].hex(), a.hex())
+
+
+@pytest.mark.parametrize("jmax", [2, 3, 9, 12])
+def test_eigenvalue_products_across_the_series_cut(monkeypatch, jmax):
+    # primes from 2 + (jmax - 1) 2^15 up take the power series, those below
+    # one log1p each; small blocks put primes of both sides in one block
+    cut = 2 + (jmax - 1) * 2**15
+    monkeypatch.setattr(primal, "SIEVE_BLOCK", 4001)
+    p0, pk = cut - 3000, cut + 3000
+    assert any(ps[0] < cut <= ps[-1] for ps in primal.prime_blocks(p0 + 1, pk))
+    assert_within_one_ulp(eigenvalue_products(p0, pk, jmax), log1p_reference(p0, pk, jmax))
+
+
+@pytest.mark.parametrize(
+    "jmax, lo", [(k, 2 + (k - 1) * 2**15 - 3000) for k in (2, 3, 9, 12)] + [(9, 10**11)]
+)
+def test_block_log_sums_match_log1p(jmax, lo):
+    # around each series cut, and near 1e11: the block sums themselves, whose
+    # low bits a_j near 1 does not show, within one rounding of math.fsum's
+    ps = primal.sieve_segment(lo, lo + 6000)
+    got = dynsys._block_log_sums(ps, jmax, np.empty((4, dynsys._BATCH)))
+    for j, s in got.items():
+        want = math.fsum(math.log1p(-(j - 1) / (p - 2)) for p in ps.tolist())
+        assert abs(s - want) <= math.ulp(want), (j, s.hex(), want.hex())
+
+
+@pytest.mark.parametrize("jmax", [2, 3, 9, 12])
+def test_eigenvalue_products_from_the_least_prime(jmax):
+    # from p0 = jmax + 1 the log sums pass -4, where one ulp of a sum is
+    # several ulps of a_j; np.log1p and math.log1p may round a term apart,
+    # so the sums agree to one ulp, and a_j to that much (a_4 and a_6 at
+    # jmax 12 on an AVX-512 numpy)
+    cut = 2 + (jmax - 1) * 2**15
+    got = eigenvalue_products(jmax + 1, 2 * cut, jmax)
+    want = log1p_reference(jmax + 1, 2 * cut, jmax)
+    for j, a in want.items():
+        assert abs(got[j] - a) <= a * math.ulp(math.log(a)) + math.ulp(a), j
+
+
+def test_eigenvalue_products_block_near_1e11():
+    p0, pk = 10**11 - 1, 10**11 + SIEVE_BLOCK - 1
+    assert_within_one_ulp(eigenvalue_products(p0, pk, 3), log1p_reference(p0, pk, 3))
 
 
 # block logs are finite with |x| <= 1; these draw magnitudes 1e-30..1, zeros too
