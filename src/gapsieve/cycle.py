@@ -7,10 +7,14 @@ wraps from N-1 to N+1.  Cycles for larger moduli are built by a one-pass
 merge over q concatenated copies of the smaller cycle: any candidate
 divisible by the new prime q is dropped and its two neighboring gaps
 coalesce.  The candidate ending gap i of copy k is kN + v_i, a multiple of q
-in exactly one copy, so one pass fills a one-byte table of that copy per
-gap; the walk then drops, copy by copy, the gaps the table marks and adds
-each run of dropped gaps into the next kept one, in u16.  Its output goes
-chunk by chunk to either a preallocated array or a cache file.
+in exactly one copy, which the walk reads off the running value mod q.  It
+reads a cycle longer than half a slice once, slice by slice: one stable
+sort groups the slice's gap ends by the copy that drops them, and each
+copy's piece drops its gaps and adds each run of dropped gaps into the next
+kept one, in u16; a shorter cycle is walked in blocks of whole copies.
+Copy k's pieces follow one another from its offset, Legendre's count of the
+kept gaps before it, in either a preallocated array or a cache file, so the
+walk holds O(CHUNK_GAPS) memory at every stage.
 
 Every pass over a cycle (the merge walk, the census kernel, population
 counts and verification) reads it through ``cyclic_slices``, so a
@@ -128,87 +132,154 @@ def cyclic_slices(
             yield n, np.take(gaps, np.arange(start, start + n + extra), mode="wrap")
 
 
-def _copy_table(gaps: np.ndarray, q: int) -> np.ndarray:
-    """copy_of[i]: the copy k < q of the cycle in which q divides the end of gap i.
+def _copy_offsets(factors: tuple[int, ...], q: int) -> list[int]:
+    """Where each of the q copies starts in the extended cycle, then its length.
 
-    Gap i ends at v = 1 + gaps[0] + ... + gaps[i], and kN + v is a multiple of
-    q exactly when k = -v/N mod q.  One slice-by-slice pass fills the table;
-    q <= PRIME_FACTOR_CAP < 256, so a copy index fits in a byte.
+    The kept gaps before copy k end at the integers in [2, kN + 1] coprime to
+    qN, so copy k starts at Phi(kN + 1) - 1, where Legendre's
+    Phi(x) = sum over d | qN of mu(d) floor(x/d) counts those in [1, x].
     """
-    n_inv = pow(int(gaps.sum(dtype=np.int64)) % q, -1, q)
-    copy_for = np.array([-r * n_inv % q for r in range(q)], dtype=np.uint8)
-    copy_of = np.empty(len(gaps), dtype=np.uint8)
-    value = 1  # the value at the start of the pending slice
-    for lo, (n, part) in zip(range(0, len(gaps), CHUNK_GAPS), cyclic_slices(gaps, len(gaps))):
-        ends = value + np.cumsum(part, dtype=np.int64)
-        copy_of[lo : lo + n] = copy_for[ends % q]
-        value = int(ends[-1])
-    return copy_of
+    divisors = [(1, 1)]  # (d, mu(d)) for the squarefree d dividing qN
+    for p in factors + (q,):
+        divisors += [(d * p, -mu) for d, mu in divisors]
+    n = math.prod(factors)
+    return [
+        sum(mu * ((k * n + 1) // d) for d, mu in divisors) - 1 for k in range(q + 1)
+    ]
 
 
-def _merged_chunks(gaps: np.ndarray, q: int) -> Iterator[np.ndarray]:
-    """Yield the gaps of the extended cycle in u16 chunks.
+def _end_run(gaps: np.ndarray, x: int, q: int) -> int:
+    """Sum of the run of dropped gaps that ends at the value x (0 if q does not divide x).
 
-    Walks q copies of ``gaps``; copy k drops the gaps i with copy_of[i] = k
-    (``_copy_table``), and each dropped gap adds into the next kept one.  In
-    a block, the j-th dropped gap, at position d, adds into output gap d - j,
-    which is constant along a run of consecutive drops, so one reduceat sums
-    each run.  A run that reaches the end of a block carries into the next
-    block, across copy ends too; the end value qN+1 is 1 mod q, so nothing
-    carries past the last copy.  A cycle shorter than a slice is walked a
-    block of whole copies at a time.
+    Gap i ends at x - gaps[i+1] - ... - gaps[-1]; the run ends within m gaps,
+    since m + 1 consecutive candidates span N, which q does not divide.
     """
-    m = len(gaps)
-    copy_of = _copy_table(gaps, q)
-    per = min(CHUNK_GAPS // m, q)  # whole copies per block
-    if per > 1:
-        # copy k0 + t drops where copy_of - t equals k0; per <= q, so that fits in an int8
-        tile_gaps = np.concatenate([gaps] * per)
-        tile_copy = (copy_of.astype(np.int8) - np.arange(per, dtype=np.int8)[:, None]).ravel()
-        blocks = (
-            (k0, tile_gaps[: min(per, q - k0) * m], tile_copy[: min(per, q - k0) * m])
-            for k0 in range(0, q, per)
-        )
+    run, i = 0, len(gaps)
+    while x % q == 0:
+        i -= 1
+        run += int(gaps[i])
+        x -= int(gaps[i])
+    return run
+
+
+def _absorb_drops(part: np.ndarray, drop: np.ndarray, out: np.ndarray, carry: int) -> int:
+    """Add each run of the dropped gaps into the kept gap after it; return what runs off the end.
+
+    ``out`` holds the gaps of ``part`` not at the ascending positions
+    ``drop``, and ``carry`` the run that ran off the end of the previous
+    piece, which adds into out[0].  The j-th dropped gap, at position d,
+    adds into out[d - j], which is constant along a run of consecutive
+    drops, so one reduceat sums each run.
+    """
+    at = drop - np.arange(len(drop))  # the output gap each dropped gap adds into
+    new_run = at[1:] != at[:-1]
+    if new_run.all():  # no two drops in a row
+        sums = part[drop].astype(np.int64)
     else:
-        blocks = (
-            (k, part, copy_of[lo : lo + n])
-            for k in range(q)
-            for lo, (n, part) in zip(range(0, m, CHUNK_GAPS), cyclic_slices(gaps, m))
-        )
-    carry = 0  # the dropped gaps that ran to the end of the last block
-    for k, part, table in blocks:
-        dropped = table == k
-        drop = dropped.nonzero()[0]
-        if not len(drop) and not carry:
-            yield part
-            continue
-        out = part[~dropped]
-        at = drop - np.arange(len(drop))  # the output gap each dropped gap adds into
-        new_run = at[1:] != at[:-1]
-        if new_run.all():  # no two drops in a row
-            sums = part[drop].astype(np.int64)
+        starts = np.concatenate(([True], new_run)).nonzero()[0]
+        sums = np.add.reduceat(part[drop], starts, dtype=np.int64)
+        at = at[starts]
+    if carry:
+        if len(at) and at[0] == 0:
+            sums[0] += carry
         else:
-            starts = np.concatenate(([True], new_run)).nonzero()[0]
-            sums = np.add.reduceat(part[drop], starts, dtype=np.int64)
-            at = at[starts]
-        if carry:
-            if len(at) and at[0] == 0:
-                sums[0] += carry
-            else:
-                at, sums = np.insert(at, 0, 0), np.insert(sums, 0, carry)
-        carry = 0
-        if len(at) and at[-1] == len(out):  # the last run reaches the block end
-            carry = int(sums[-1])
-            at, sums = at[:-1], sums[:-1]
-        if len(at):
-            merged = out[at] + sums
-            mx = int(merged.max())
-            if mx > GAP_LIMIT:
-                raise CapacityError(f"gap {mx} exceeds u16 storage")
-            out[at] = merged
-        yield out
+            at, sums = np.insert(at, 0, 0), np.insert(sums, 0, carry)
+    carry = 0
+    if len(at) and at[-1] == len(out):  # the last run reaches the end of the piece
+        carry = int(sums[-1])
+        at, sums = at[:-1], sums[:-1]
+    if len(at):
+        merged = out[at] + sums
+        mx = int(merged.max())
+        if mx > GAP_LIMIT:
+            raise CapacityError(f"gap {mx} exceeds u16 storage")
+        out[at] = merged
+    return carry
+
+
+def _merged_chunks(cycle: GapCycle, q: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (offset, u16 gaps) pieces that together fill the cycle for qN.
+
+    The candidate ending gap i of copy k is kN + v_i, so it is dropped in
+    the one copy k = -v_i/N mod q, read off the running value mod q.  A
+    cycle longer than half a slice is read slice by slice, each slice once
+    for all q copies (``_sliced_chunks``).  A shorter one is walked a block
+    of whole copies at a time, in order, with one carry across blocks; the
+    end value qN+1 is 1 mod q, so nothing carries past the last copy.
+    """
+    gaps = cycle.gaps
+    m = len(gaps)
+    n_inv = pow(cycle.modulus % q, -1, q)
+    # copy_for[v mod q]: the copy in which the candidate ending at v is dropped;
+    # q <= PRIME_FACTOR_CAP < 256, so a copy index fits in a byte
+    copy_for = np.array([-r * n_inv % q for r in range(q)], dtype=np.uint8)
+    if 2 * m > CHUNK_GAPS:
+        yield from _sliced_chunks(cycle, q, copy_for)
+        return
+    copy_of = copy_for[(1 + np.cumsum(gaps, dtype=np.int64)) % q]
+    per = min(CHUNK_GAPS // m, q)  # whole copies per block
+    # copy k0 + t drops where copy_of - t equals k0; per <= q, so that fits in an int8
+    tile_gaps = np.concatenate([gaps] * per)
+    tile_copy = (copy_of.astype(np.int8) - np.arange(per, dtype=np.int8)[:, None]).ravel()
+    filled = 0
+    carry = 0
+    for k0 in range(0, q, per):
+        size = min(per, q - k0) * m
+        part = tile_gaps[:size]
+        dropped = tile_copy[:size] == k0
+        drop = dropped.nonzero()[0]
+        if len(drop) or carry:
+            out = part[~dropped]
+            carry = _absorb_drops(part, drop, out, carry)
+        else:
+            out = part
+        yield filled, out
+        filled += len(out)
     if carry:
         raise AssertionError(f"dropped gaps summing to {carry} ran past the last copy")
+
+
+def _sliced_chunks(
+    cycle: GapCycle, q: int, copy_for: np.ndarray
+) -> Iterator[tuple[int, np.ndarray]]:
+    """The walk that reads each slice once and yields its piece of every copy.
+
+    One stable sort of the slice's copy indices lists each copy's drops in
+    order.  Copy k starts at its Legendre offset (``_copy_offsets``) with
+    the run of drops that ends copy k - 1 (``_end_run``), and keeps its own
+    place and carry from slice to slice.  Each copy must end at the next
+    one's offset with the run that starts the next copy.
+    """
+    gaps, n = cycle.gaps, cycle.modulus
+    offsets = _copy_offsets(cycle.factors, q)
+    runs = [_end_run(gaps, k * n + 1, q) for k in range(q + 1)]  # runs[q] = 0: qN+1 is 1 mod q
+    place, carry = offsets[:q], runs[:q]
+    copies = np.arange(q + 1, dtype=np.uint8)
+    value = 1  # the value at the start of the pending slice
+    for size, part in cyclic_slices(gaps, len(gaps)):
+        end = value + np.cumsum(part, dtype=np.int64)
+        value = int(end[-1])
+        copy_of = copy_for[end % q]
+        del end  # before the sort's two index arrays
+        order = np.argsort(copy_of, kind="stable")
+        bounds = np.searchsorted(copy_of[order], copies).tolist()
+        kept = np.ones(size, dtype=bool)
+        for k in range(q):
+            drop = order[bounds[k] : bounds[k + 1]]
+            if len(drop) or carry[k]:
+                kept[drop] = False
+                out = part[kept]
+                kept[drop] = True
+                carry[k] = _absorb_drops(part, drop, out, carry[k])
+            else:
+                out = part
+            yield place[k], out
+            place[k] += len(out)
+        del order, drop  # so the next slice's sort does not hold two
+    if place != offsets[1:] or carry != runs[1:]:
+        raise AssertionError(
+            f"copies ended at {place} carrying {carry}, expected {offsets[1:]} and {runs[1:]}"
+        )
 
 
 def extend_cycle(cycle: GapCycle, q: int) -> GapCycle:
@@ -222,12 +293,8 @@ def extend_cycle(cycle: GapCycle, q: int) -> GapCycle:
         raise ValueError(f"repeated factor {q}")
     factors = tuple(sorted(cycle.factors + (q,)))
     out = np.empty((q - 1) * cycle.gap_count, np.uint16)
-    filled = 0
-    for chunk in _merged_chunks(cycle.gaps, q):
-        out[filled : filled + len(chunk)] = chunk
-        filled += len(chunk)
-    if filled != len(out):
-        raise AssertionError(f"merged {filled} gaps, expected {len(out)}")
+    for offset, chunk in _merged_chunks(cycle, q):
+        out[offset : offset + len(chunk)] = chunk
     return GapCycle(factors, out)
 
 
@@ -261,14 +328,15 @@ def build_primorial_cycle_streaming(p: int, out_path: str) -> GapCycle:
     """Build stage p straight into the cache file ``out_path``.
 
     Stage prev_prime(p) is built in memory and its merge walk by p goes to
-    the cache writer, so the stage-p cycle is never held in RAM.  The file
-    is byte-identical to write_cache of build_primorial_cycle(p); the result
-    is read back memory-mapped.
+    the cache writer, each piece written at its offset, so neither the
+    stage-p cycle nor any table the length of stage prev_prime(p) is held
+    in RAM.  The file is byte-identical to write_cache of
+    build_primorial_cycle(p); the result is read back memory-mapped.
     """
     count = stage_gap_count(p)
     prev = _UNIT_CYCLE if p == 2 else build_primorial_cycle(prev_prime(p))
     factors = prev.factors + (p,)
-    _write_gapc(out_path, factors, count, _merged_chunks(prev.gaps, p))
+    _write_gapc(out_path, factors, count, _merged_chunks(prev, p))
     return read_cache(out_path, mmap=True)
 
 
@@ -344,48 +412,67 @@ def verify_cycle(cycle: GapCycle, oracle: bool = False) -> CycleReport:
     """
     checks: dict[str, bool] = {}
     details: dict[str, str] = {}
+    gaps = cycle.gaps
     n = cycle.modulus
     m = cycle.gap_count
     phi = phi_i(1, cycle.factors)
+    p = cycle.prime
+    primorial = cycle.is_primorial and p >= 3
+    twice_prev = 2 * prev_prime(p) if primorial and p >= 5 else 0
+
+    total = ored = wide = 0
+    low = 0xFFFF
+
+    def tally(part: np.ndarray, times: int) -> None:
+        nonlocal total, ored, wide, low
+        total += times * int(part.sum(dtype=np.int64))
+        ored |= int(np.bitwise_or.reduce(part))
+        low = int(part.min(initial=low))
+        if twice_prev:
+            wide += times * int(np.count_nonzero(part == twice_prev))
+
+    # one pass, slice by slice, so a mapped cycle is read without a cycle-long
+    # temporary: each slice of the first half of the gaps before the last with
+    # its mirror image (a matching pair tallies twice), then the middle gap, if
+    # any, and the last one
+    body = gaps[:-1]
+    half = len(body) // 2
+    palindrome = True
+    for (_, head), (_, tail) in zip(cyclic_slices(body, half), cyclic_slices(body[::-1], half)):
+        if np.array_equal(head, tail):
+            tally(head, 2)
+        else:
+            palindrome = False
+            tally(head, 1)
+            tally(tail, 1)
+    tally(gaps[half : len(body) - half], 1)
+    tally(gaps[-1:], 1)
 
     checks["count"] = m == phi
     if not checks["count"]:
         details["count"] = f"{m} gaps, totient {phi}"
-    total = cycle.total
     checks["sum"] = total == n
     if not checks["sum"]:
         details["sum"] = f"gaps sum to {total}, modulus {n}"
     if n > 2:
-        checks["last_gap"] = int(cycle.gaps[-1]) == 2
+        checks["last_gap"] = int(gaps[-1]) == 2
     if n % 2 == 0:
         # an odd gap sets bit 0 of the OR over all gaps
-        checks["even_gaps"] = not int(np.bitwise_or.reduce(cycle.gaps)) & 1
-    checks["positive_gaps"] = int(cycle.gaps.min(initial=1)) > 0
-    # slice by slice, so a mapped cycle is compared without a cycle-long temporary
-    body = cycle.gaps[:-1]
-    half = len(body) // 2
-    checks["palindrome"] = all(
-        np.array_equal(head, tail)
-        for (_, head), (_, tail) in zip(cyclic_slices(body, half), cyclic_slices(body[::-1], half))
-    )
+        checks["even_gaps"] = not ored & 1
+    checks["positive_gaps"] = low > 0
+    checks["palindrome"] = palindrome
 
-    if cycle.is_primorial and cycle.prime >= 3:
-        p = cycle.prime
-        checks["first_gap"] = int(cycle.gaps[0]) + 1 == next_prime(p)
+    if primorial:
+        checks["first_gap"] = int(gaps[0]) + 1 == next_prime(p)
         if p >= 5:
-            twice_prev = 2 * prev_prime(p)
-            cnt = sum(
-                int(np.count_nonzero(part == twice_prev))
-                for _, part in cyclic_slices(cycle.gaps, m)
-            )
-            checks["two_widest_pairs"] = cnt >= 2
+            checks["two_widest_pairs"] = wide >= 2
             if not checks["two_widest_pairs"]:
-                details["two_widest_pairs"] = f"{cnt} gaps of {twice_prev}"
+                details["two_widest_pairs"] = f"{wide} gaps of {twice_prev}"
             run = expected_central_run(p)
             # the central gap straddles N/2; by symmetry it is gap m/2
             c = m // 2
             lo = (c - 1) - (len(run) - 1) // 2
-            got = cycle.gaps[lo : lo + len(run)].tolist()
+            got = gaps[lo : lo + len(run)].tolist()
             checks["central_run"] = got == run
             if not checks["central_run"]:
                 details["central_run"] = f"got {got}, expected {run}"
@@ -433,23 +520,24 @@ def atomic_open(path: str, mode: str) -> Iterator[IO]:
 
 
 def _write_gapc(
-    path: str, factors: tuple[int, ...], gap_count: int, chunks: Iterable[np.ndarray]
+    path: str, factors: tuple[int, ...], gap_count: int, chunks: Iterable[tuple[int, np.ndarray]]
 ) -> None:
-    """Write a cache file from u16 gap chunks, atomically (``atomic_open``)."""
+    """Write a cache file from (offset, u16 gaps) chunks, atomically (``atomic_open``).
+
+    Each chunk goes to its offset in the payload; the merge walk checks that
+    its chunks tile the payload.
+    """
     head = _cache_header(factors, gap_count)
     with atomic_open(path, "wb") as fh:
         fh.write(head)
-        written = 0
-        for chunk in chunks:
+        for offset, chunk in chunks:
+            fh.seek(len(head) + 2 * offset)
             fh.write(np.ascontiguousarray(chunk, dtype="<u2"))
-            written += len(chunk)
-        if written != gap_count:
-            raise AssertionError(f"wrote {written} gaps, expected {gap_count}")
 
 
 def write_cache(path: str, cycle: GapCycle) -> None:
     """Write the binary cache: GAPC, version, factors, count, u16 gaps."""
-    _write_gapc(path, cycle.factors, cycle.gap_count, [cycle.gaps])
+    _write_gapc(path, cycle.factors, cycle.gap_count, [(0, cycle.gaps)])
 
 
 def read_cache(path: str, mmap: bool = False) -> GapCycle:

@@ -303,3 +303,77 @@ def test_interrupted_cache_writes_leave_target_intact(tmp_path, g5, g7):
         write_cache(str(path), too_many)
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["g.gapc"]
+
+
+def test_merge_walk_memory_does_not_grow_with_the_cycle(traced_peak):
+    # 17 -> 19 reads 92,160 gaps, 19 -> 23 reads 1,658,880: both walks hold
+    # a few slices' worth, whatever the length of the cycle they read
+    g17 = build_primorial_cycle(17)
+    g19 = extend_cycle(g17, 19)
+
+    def consume(cyc, q):
+        return sum(len(chunk) for _, chunk in cycle_mod._merged_chunks(cyc, q))
+
+    small, small_mb = traced_peak(lambda: consume(g17, 19))
+    large, large_mb = traced_peak(lambda: consume(g19, 23))
+    assert (small, large) == (18 * g17.gap_count, 22 * g19.gap_count)
+    assert large_mb <= small_mb + 0.5, (small_mb, large_mb)
+
+
+def test_streamed_stage_19_is_byte_identical(tmp_path):
+    # 17 -> 19 reads 92,160 gaps in two slices, so both builds take the sliced walk;
+    # the in-memory one is checked against the coprime scan, the file against it
+    built = build_primorial_cycle(19)
+    assert built == oracle_cycle(built.modulus)
+    streamed, written = tmp_path / "g19s.gapc", tmp_path / "g19m.gapc"
+    build_primorial_cycle_streaming(19, str(streamed))
+    write_cache(str(written), built)
+    assert streamed.read_bytes() == written.read_bytes()
+
+
+def test_streamed_stage_13_in_small_slices_is_byte_identical(tmp_path, g13, monkeypatch):
+    # at 256 gaps a slice, 11 -> 13 (480 gaps) takes the sliced walk too
+    monkeypatch.setattr(cycle_mod, "CHUNK_GAPS", 256)
+    streamed, written = tmp_path / "g13s.gapc", tmp_path / "g13m.gapc"
+    build_primorial_cycle_streaming(13, str(streamed))
+    write_cache(str(written), g13)
+    assert streamed.read_bytes() == written.read_bytes()
+
+
+def test_copy_offsets_count_the_kept_gaps():
+    # copy k starts after the gaps kept by copies 0..k-1: one per gap end
+    # kN + v that q does not divide, counted here from a per-gap copy table
+    rng = random.Random(24)
+    pool = primes_upto(47)
+    for _ in range(40):
+        factors = tuple(sorted(rng.sample(pool, rng.randint(1, 4))))
+        n = int(np.prod(factors))
+        if n > 10**4:
+            continue
+        for q in [2] + rng.sample(pool, 3):
+            if n % q == 0:
+                continue
+            ends = oracle_cycle(n).values().tolist()[1:]
+            copy_of = [next(k for k in range(q) if (k * n + v) % q == 0) for v in ends]
+            offsets = [0]
+            for k in range(q):
+                offsets.append(offsets[-1] + len(ends) - copy_of.count(k))
+            assert cycle_mod._copy_offsets(factors, q) == offsets, (factors, q)
+
+
+def test_verify_cycle_tallies_both_halves_of_a_broken_pair(g13, monkeypatch):
+    # a zero, an odd gap and the second of the two 22s changed in the second
+    # half, past the first slice pair: every tally must still see them
+    monkeypatch.setattr(cycle_mod, "CHUNK_GAPS", 5)
+    gaps = g13.gaps.copy()
+    gaps[-20] = 0
+    gaps[-30] = 3
+    (wide,) = np.flatnonzero(gaps[len(gaps) // 2 :] == 22)
+    gaps[len(gaps) // 2 + wide] = 2
+    report = verify_cycle(GapCycle(g13.factors, gaps))
+    assert not report.checks["palindrome"]
+    assert not report.checks["positive_gaps"]
+    assert not report.checks["even_gaps"]
+    total = int(gaps.sum(dtype=np.int64))
+    assert report.details["sum"] == f"gaps sum to {total}, modulus 30030"
+    assert report.details["two_widest_pairs"] == "1 gaps of 22"
