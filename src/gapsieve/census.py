@@ -1,13 +1,13 @@
-"""Exact cyclic enumeration of gaps, constellations, and their driving terms.
+"""Exact enumeration of gaps, constellations, and their driving terms.
 
-All window counts here are cyclic: windows may wrap past the end of the cycle
-(and around it more than once when the target sum exceeds the modulus).
-Because every gap is positive, at most one window of a given start index can
-sum to the target, so one census (slice by slice through
-``cycle.cyclic_slices``, walked or table-driven by width) counts gaps and
-constellations alike: a gap is a length-1 constellation.  The counts by
-length are a PopulationVector, the state the model in dynsys steps.
-pattern_count matches a target exactly, in a cycle or among prime gaps.
+One kernel, ``window_counts``, counts windows of consecutive gaps over a
+stream of slices, walked or table-driven by width.  Gaps are positive, so at
+most one window of a start sums to the target, and a k-gap window that hits
+all k boundaries is the target itself.  ``census_for`` feeds it a cycle's
+``cyclic_slices``, so windows wrap (more than once when the target sum
+exceeds the modulus); its counts by length are a PopulationVector, the state
+the model in dynsys steps, and a gap is a length-1 constellation.  Among the
+primes, ``survival.actual_gap_count`` feeds it ``primal.prime_gap_slices``.
 """
 
 from __future__ import annotations
@@ -15,14 +15,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from typing import Iterable
 
 import numpy as np
 
 from .cycle import GapCycle, cyclic_slices
 from .primal import phi_i
 
-# widest census window, in gaps, that is walked (see _window_counts)
+# most steps, in gaps, that window_counts walks; more use the position table
 WALK_STEPS = 64
+
+# (n, part) pairs: n window starts, then the gaps their windows may read
+Slices = Iterable[tuple[int, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -130,28 +134,24 @@ class PopulationVector:
         return PopulationVector.from_census(self, max_length)
 
 
-def _window_counts(gaps: np.ndarray, boundaries: list[int]) -> np.ndarray:
-    """Counts by length (index 0 unused) of the cyclic windows hitting every boundary.
+def window_counts(slices: Slices, target: Constellation, steps: int) -> np.ndarray:
+    """Counts by length (index 0 unused) of the windows of at most ``steps`` gaps hitting every boundary.
 
-    A window holds at most steps = boundaries[-1] // min(gaps) gaps.  Up to
-    WALK_STEPS steps each slice is walked, at one pass per step until its
-    least sum passes the span; wider spans use a position table, at a fixed
-    dozen passes per slice.  Stage 23, seconds walked / tabled: gap 30
+    The boundaries are the target's prefix sums.  Each slice holds n starts
+    and, after them, at least ``steps`` gaps, which sum past the span.
+    Up to WALK_STEPS steps each slice is walked, at one pass per step until
+    its least sum passes the span; more steps use a position table, at a
+    fixed dozen passes per slice.  Stage 23, seconds walked / tabled: gap 30
     0.16 / 0.60, gap 180 (90 steps) 0.61 / 0.64, gap 240 0.73 / 0.59, so
     the walk wins to about 90 steps.
     """
-    gaps = np.asarray(gaps)  # a memmap's slices would wrap every ufunc result
-    least = int(gaps.min())
-    if not least:
-        raise ValueError("the cycle holds a zero gap")
-    steps = boundaries[-1] // least
     counts = np.zeros(steps + 1, dtype=np.int64)
     kernel = _walk_counts if steps <= WALK_STEPS else _table_counts
-    kernel(gaps, boundaries, counts)
+    kernel(slices, list(accumulate(target.gaps)), counts)
     return counts
 
 
-def _walk_counts(gaps: np.ndarray, boundaries: list[int], counts: np.ndarray) -> None:
+def _walk_counts(slices: Slices, boundaries: list[int], counts: np.ndarray) -> None:
     """Step j adds each start's j-th gap to its sum, in u16 unless that could wrap.
 
     Sums rise strictly, so a start counts at length j when its sum is the
@@ -160,13 +160,12 @@ def _walk_counts(gaps: np.ndarray, boundaries: list[int], counts: np.ndarray) ->
     *inner, last = boundaries
     steps = len(counts) - 1
     sums32 = None
-    for n, part in cyclic_slices(gaps, len(gaps), steps):
-        if sums32 is None:  # the first slice is the widest
+    for n, part in slices:
+        if sums32 is None or n > len(sums32):
             sums32 = np.empty(n, dtype=np.uint32)
             hits_buf = np.empty(n, dtype=np.min_scalar_type(len(inner)))
             eq_buf, all_buf = np.empty((2, n), dtype=bool)
-        # boundaries[-1] < (steps + 1) * min(gaps), so it fits too
-        narrow = (steps + 1) * int(part.max()) <= 0xFFFF
+        narrow = max((steps + 1) * int(part.max()), last) <= 0xFFFF
         sums = sums32.view(np.uint16)[:n] if narrow else sums32[:n]
         hits, eq, all_hit = hits_buf[:n], eq_buf[:n], all_buf[:n]
         sums[...] = 0
@@ -185,17 +184,17 @@ def _walk_counts(gaps: np.ndarray, boundaries: list[int], counts: np.ndarray) ->
             counts[j] += np.count_nonzero(eq)
 
 
-def _table_counts(gaps: np.ndarray, boundaries: list[int], counts: np.ndarray) -> None:
+def _table_counts(slices: Slices, boundaries: list[int], counts: np.ndarray) -> None:
     """Look each start's boundaries up in a per-slice position table.
 
     Gaps are positive, so a slice's prefix sums are distinct, and a table
     ``pos`` over their range maps each to its index and all else to -1.
     Each boundary is then one gather per start: the interior ones AND into
     a hit mask, and the last gives the window's end index.  No lookup passes
-    the slice's last value, which lies past every start's window.
+    the slice's last value, which lies past every start's window; windows
+    longer than the counts reach are cut.
     """
-    extra = len(counts) - 1
-    for n, part in cyclic_slices(gaps, len(gaps), extra):
+    for n, part in slices:
         values = np.empty(len(part) + 1, dtype=np.int64)
         values[0] = 0
         values[1:] = part
@@ -210,7 +209,7 @@ def _table_counts(gaps: np.ndarray, boundaries: list[int], counts: np.ndarray) -
         for b in boundaries[:-1]:
             hit &= pos[b:][start] >= 0
         # a window holds at least one gap, so length 0 marks a miss
-        counts += np.bincount((last - index[:n]) * hit, minlength=extra + 1)
+        counts += np.bincount((last - index[:n]) * hit, minlength=len(counts))[: len(counts)]
 
 
 def census_for(cycle: GapCycle, target: Constellation | int) -> PopulationVector:
@@ -218,33 +217,17 @@ def census_for(cycle: GapCycle, target: Constellation | int) -> PopulationVector
 
     A window of j gaps is a driving term when its prefix sums pass through
     g1, g1+g2, ..., |s| without overshooting any boundary; interior closures
-    then collapse it to s.  A gap g is the constellation (g,).  Entries run
-    from j1 to the longest driving term found, or are (0,) when none is.
+    then collapse it to s, and the j1-gap ones are s itself.  A gap g is the
+    constellation (g,).  Entries run from j1 to the longest driving term
+    found, or are (0,) when none is.  Windows wrap, read through
+    ``cyclic_slices``, and hold at most |s| // min(gaps) gaps.
     """
     t = as_constellation(target)
-    counts = _window_counts(cycle.gaps, list(accumulate(t.gaps)))[t.length :]
+    gaps = np.asarray(cycle.gaps)  # a memmap's slices would wrap every ufunc result
+    least = int(gaps.min())
+    if not least:
+        raise ValueError("the cycle holds a zero gap")
+    steps = t.span // least
+    counts = window_counts(cyclic_slices(gaps, len(gaps), steps), t, steps)[t.length :]
     entries = tuple(np.trim_zeros(counts, "b").tolist()) or (0,)
     return PopulationVector(t.length, entries, phi_i(t.length + 1, cycle.factors))
-
-
-def pattern_count(gaps: np.ndarray, target: Constellation | int) -> int:
-    """Starts i <= len(gaps) - k whose next k gaps equal the k-gap target, with no wrap."""
-    t = as_constellation(target).gaps
-    n = len(gaps) - len(t) + 1
-    if n <= 0:  # no start; a negative bound would slice from the end
-        return 0
-    mask = gaps[:n] == t[0]
-    for i, g in enumerate(t[1:], start=1):
-        mask &= gaps[i : i + n] == g
-    return int(np.count_nonzero(mask))
-
-
-def population_count(cycle: GapCycle, target: Constellation | int) -> int:
-    """The target's own population: cyclic starts whose next gaps equal it.
-
-    Each slice holds its starts and the k - 1 gaps after them, so a
-    memory-mapped cycle costs O(slice) extra memory.
-    """
-    t = as_constellation(target)
-    return sum(pattern_count(part, t)
-               for _, part in cyclic_slices(cycle.gaps, cycle.gap_count, t.length - 1))

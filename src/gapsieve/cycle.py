@@ -16,9 +16,9 @@ Copy k's pieces follow one another from its offset, Legendre's count of the
 kept gaps before it, in either a preallocated array or a cache file, so the
 walk holds O(CHUNK_GAPS) memory at every stage.
 
-Every pass over a cycle (the merge walk, the census kernel, population
-counts and verification) reads it through ``cyclic_slices``, so a
-memory-mapped cycle costs O(CHUNK_GAPS) extra memory.
+Every pass over a cycle (the merge walk, the census and verification)
+reads it through ``cyclic_slices``, so a memory-mapped cycle costs
+O(CHUNK_GAPS) extra memory.
 """
 
 from __future__ import annotations
@@ -331,8 +331,11 @@ def build_primorial_cycle_streaming(p: int, out_path: str) -> GapCycle:
     the cache writer, each piece written at its offset, so neither the
     stage-p cycle nor any table the length of stage prev_prime(p) is held
     in RAM.  The file is byte-identical to write_cache of
-    build_primorial_cycle(p); the result is read back memory-mapped.
+    build_primorial_cycle(p); the result is read back memory-mapped, so a
+    path that exists but is no regular file is refused before the build.
     """
+    if os.path.exists(out_path) and not os.path.isfile(out_path):
+        raise ValueError(f"{out_path} is not a regular file: a cache is read back once written")
     count = stage_gap_count(p)
     prev = _UNIT_CYCLE if p == 2 else build_primorial_cycle(prev_prime(p))
     factors = prev.factors + (p,)

@@ -5,11 +5,11 @@ everywhere in the package as the ascending tuple of its distinct primes, and
 ``phi_i`` over that tuple is the one totient.  Every prime list and block
 comes from one segmented sieve, ``sieve_segment``, so sieving a window
 [a, b] holds O(sqrt(b) + SIEVE_BLOCK) working memory at a time.  The bound
-holds for the consumers of ``prime_blocks`` too: ``eigenvalue_products`` and
-``actual_gap_count`` keep one block and fixed-size buffers, never a list of
-the window's primes; only ``primes_in`` returns one.  The trial
-division in ``is_prime`` and ``factorize`` serves single numbers: input checks
-and the tests' independent reference.
+holds for the consumers of ``prime_blocks`` too: ``eigenvalue_products``
+keeps one block and fixed-size buffers, and ``prime_gap_slices`` one block of
+gaps and its carry, never a list of the window's primes; only ``primes_in``
+returns one.  The trial division in ``is_prime`` and ``factorize`` serves
+single numbers: input checks and the tests' independent reference.
 """
 
 from __future__ import annotations
@@ -92,6 +92,29 @@ def prime_blocks(a: int, b: int) -> Iterator[np.ndarray]:
     base = sieve_segment(2, isqrt(max(b, 0)))
     for lo in range(a, b + 1, SIEVE_BLOCK):
         yield sieve_segment(lo, min(lo + SIEVE_BLOCK - 1, b), base)
+
+
+def prime_gap_slices(a: int, b: int, extra: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (n, part) over the gaps between consecutive primes in [a, b], block by block.
+
+    ``part`` holds n starts, each the gap after a prime, then the ``extra``
+    gaps after them, so the last extra + 1 primes of a block carry into the
+    next.  Past b the last slice reads a gap of extra + 1, so no window of
+    span at most extra reaches past b, then gaps of 1, which keep a census
+    position table over the slice's sum small.  Gaps below SIEVE_BUDGET fit u16.
+    """
+    dtype = np.uint16 if extra < 0xFFFF else np.int64
+    run = np.empty(0, dtype=np.int64)
+    for ps in prime_blocks(a, b):
+        run = np.concatenate((run, ps))
+        del ps  # free the block before the next one is sieved
+        n = len(run) - 1 - extra
+        if n > 0:
+            yield n, np.subtract(run[1:], run[:-1], dtype=dtype, casting="unsafe")
+            run = run[n:].copy()
+    if len(run) > 1:  # past b, a gap of extra + 1, then gaps of 1
+        run = np.concatenate((run, run[-1] + extra + np.arange(1, extra + 1)))
+        yield len(run) - 1 - extra, np.subtract(run[1:], run[:-1], dtype=dtype, casting="unsafe")
 
 
 def check_window(a: int, b: int) -> None:

@@ -20,9 +20,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .census import Constellation, as_constellation, pattern_count, population_count
+from .census import Constellation, as_constellation, census_for, window_counts
 from .cycle import CHUNK_GAPS, GapCycle
-from .primal import check_window, next_prime, prime_blocks, primes_in
+from .primal import check_window, next_prime, prime_gap_slices, primes_in
 
 
 def naive_estimate(cycle: GapCycle, target: Constellation | int) -> float:
@@ -32,7 +32,7 @@ def naive_estimate(cycle: GapCycle, target: Constellation | int) -> float:
     exact rational and returned as a float.
     """
     p_next = next_prime(cycle.prime)
-    n = population_count(cycle, target)
+    n = census_for(cycle, target).population
     return float(Fraction(p_next * p_next - p_next, cycle.modulus) * n)
 
 
@@ -41,20 +41,12 @@ def actual_gap_count(a: int, b: int, target: Constellation | int) -> int:
 
     The whole constellation must lie inside the interval: its first and last
     primes are both in [a, b].  The interval is checked as primes_in checks it.
-    The count runs block by block over prime_blocks: each block is read after
-    the last k primes before it, so a window of k gaps is counted once, in the
-    block that holds its last prime, and one block is held at a time.
+    The count is the census kernel's k-gap entry over ``prime_gap_slices``,
+    walked k steps, one block of primes at a time.
     """
     t = as_constellation(target)
     check_window(a, b)
-    count = 0
-    tail = np.empty(0, dtype=np.int64)
-    for ps in prime_blocks(a, b):
-        run = np.concatenate((tail, ps))
-        count += pattern_count(np.diff(run), t)
-        tail = run[-t.length :]
-        del ps, run  # free the block before the next one is sieved
-    return count
+    return int(window_counts(prime_gap_slices(a, b, t.span), t, t.length)[t.length])
 
 
 @dataclass

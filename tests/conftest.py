@@ -1,8 +1,9 @@
 import tracemalloc
+from contextlib import contextmanager
 
 import pytest
 
-from gapsieve import build_primorial_cycle
+from gapsieve import build_primorial_cycle, census
 
 
 @pytest.fixture(scope="session")
@@ -35,3 +36,15 @@ def traced_peak():
         finally:
             tracemalloc.stop()
     return run
+
+
+@pytest.fixture(scope="session")
+def kernel():
+    """kernel(side): a context in which census.window_counts tables ("table") or
+    walks ("walk") every window, whatever its span."""
+    @contextmanager
+    def on(side):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(census, "WALK_STEPS", {"table": 0, "walk": 10**6}[side])
+            yield
+    return on

@@ -210,8 +210,6 @@ def test_criterion_8_survival_ground_truth(g13, tmp_path, monkeypatch, capsys):
 
 
 def test_criterion_9_property_suite(g5, g7, g11, g13):
-    from gapsieve.census import population_count
-
     for cyc in (g5, g7, g11, g13):
         rep = verify_cycle(cyc)
         assert rep.ok, rep.lines()
@@ -221,7 +219,11 @@ def test_criterion_9_property_suite(g5, g7, g11, g13):
     for cyc in (g7, g11):
         for _ in range(20):
             s = Constellation(tuple(rng.choice(pool) for _ in range(rng.randint(1, 4))))
-            assert population_count(cyc, s) == population_count(cyc, s.reversed_())
+            pop = census_for(cyc, s).population
+            assert pop == census_for(cyc, s.reversed_()).population
+            gaps = cyc.gaps.tolist()
+            k, m = s.length, len(gaps)
+            assert pop == sum((gaps + gaps[: k - 1])[i : i + k] == list(s.gaps) for i in range(m))
 
     from gapsieve.cycle import extend_cycle
 

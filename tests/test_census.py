@@ -11,13 +11,7 @@ from hypothesis import strategies as st
 
 from gapsieve import census as census_mod
 from gapsieve import cycle as cycle_mod
-from gapsieve.census import (
-    Constellation,
-    census_for,
-    parse_gap,
-    pattern_count,
-    population_count,
-)
+from gapsieve.census import Constellation, census_for, parse_gap
 from gapsieve.cycle import (
     build_primorial_cycle,
     cycle_for_factors,
@@ -85,26 +79,10 @@ def test_parse_gap():
             parse_gap(text)
 
 
-def test_pattern_count_reads_straight_through():
-    gaps = np.array([2, 4, 2, 4, 2], dtype=np.uint16)
-    assert pattern_count(gaps, 2) == 3
-    assert pattern_count(gaps, Constellation((2, 4))) == 2
-    assert pattern_count(gaps, Constellation((4, 2, 4, 2))) == 1
-    # no wrap: the last gap does not run on into the first
-    assert pattern_count(gaps, Constellation((2, 2))) == 0
-    # a target as long as the array starts once; a longer one has no start and
-    # reads nothing from the array's end
-    assert pattern_count(gaps, Constellation((2, 4, 2, 4, 2))) == 1
-    for extra in ((4,), (4, 2), (4, 2, 4, 2)):
-        assert pattern_count(gaps, Constellation((2, 4, 2, 4, 2) + extra)) == 0
-    assert pattern_count(gaps[:0], 2) == 0
-
-
 def test_count_gap(g5, g7, g11):
-    assert population_count(g5, 2) == 3
-    assert population_count(g5, 4) == 3
-    assert population_count(g7, 6) == 14
-    assert population_count(g11, 2) == 135
+    for cyc, gap, expected in ((g5, 2, 3), (g5, 4, 3), (g7, 6, 14), (g11, 2, 135)):
+        assert census_for(cyc, gap).population == expected
+        assert brute_force_population(cyc.gaps.tolist(), Constellation((gap,))) == expected
 
 
 def test_driving_terms_for_gap_examples(g5, g13):
@@ -122,9 +100,10 @@ def test_wrapping_window_counts():
 
 
 def test_count_constellation_examples(g5):
-    assert population_count(g5, Constellation((4, 2, 4))) == 2
-    assert population_count(g5, Constellation((2, 4))) == 2
-    assert population_count(g5, Constellation((6, 6))) == 0
+    for gaps, expected in (((4, 2, 4), 2), ((2, 4), 2), ((6, 6), 0)):
+        s = Constellation(gaps)
+        assert census_for(g5, s).population == expected
+        assert brute_force_population(g5.gaps.tolist(), s) == expected
 
 
 def test_driving_terms_for_constellation_examples(g7, g11, g13):
@@ -165,7 +144,7 @@ def test_reversal_symmetry(g7, g11):
     for cyc in (g7, g11):
         for _ in range(25):
             s = Constellation(tuple(rng.choice(pool) for _ in range(rng.randint(1, 4))))
-            assert population_count(cyc, s) == population_count(cyc, s.reversed_())
+            assert census_for(cyc, s).population == census_for(cyc, s.reversed_()).population
 
 
 def test_ratio_sum_preserved_under_extension(g5, g7, g11):
@@ -201,23 +180,15 @@ def _cycle(factors: tuple[int, ...]):
     return cycle_for_factors(factors)
 
 
+# the two sides of census.WALK_STEPS, for the kernel fixture
+KERNEL_SIDES = ("table", "walk")
+
+
 @contextmanager
 def small_slices():
     """Read every cycle in slices of 7 gaps, so slices wrap mid-copy and inside windows."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cycle_mod, "CHUNK_GAPS", 7)
-        yield
-
-
-# WALK_STEPS values that send every census to the position table or to the walk
-KERNELS = {"table": 0, "walk": 10**6}
-
-
-@contextmanager
-def kernel(name):
-    """Count every census window with one kernel, whatever its span."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(census_mod, "WALK_STEPS", KERNELS[name])
         yield
 
 
@@ -243,23 +214,24 @@ def squarefree_factors(draw, even=False):
 @example((3, 5), [10, 2, 30, 4])  # span 46 over modulus 15
 @example((2, 3, 5), [40])
 @example((2, 3, 5, 7), [210])  # span = the modulus: each start's window is the whole cycle
-def test_kernel_matches_brute_force(factors, target):
+def test_kernel_matches_brute_force(kernel, factors, target):
     cyc = _cycle(factors)
     s = Constellation(tuple(target))
     expected = dense(brute_force_census(cyc.gaps.tolist(), s), s.length)
-    for name in KERNELS:
+    population = brute_force_population(cyc.gaps.tolist(), s)
+    for name in KERNEL_SIDES:
         with kernel(name):
             got = census_for(cyc, s)
             assert got.vector() == expected, name
             assert all(type(e) is int for e in got.entries)
             assert got.entries[-1] or got.entries == (0,)
-            assert got.population == population_count(cyc, s)
+            assert got.population == population
             with small_slices():
                 assert census_for(cyc, s).vector() == expected, name
 
 
-@pytest.mark.parametrize("name", KERNELS)
-def test_walk_sums_past_u16(name):
+@pytest.mark.parametrize("name", KERNEL_SIDES)
+def test_walk_sums_past_u16(kernel, name):
     # gaps of 2000-8000, so the walk's sums pass 0xFFFF within its at most 33
     # steps: 7536 and eleven 8000s sum to 30,000 mod 2^16, and the spans of
     # 66,000 pass it themselves
@@ -316,7 +288,7 @@ def brute_force_population(gaps: list[int], s: Constellation) -> int:
 @example((2,), 0, 7, False)  # seven times round the one-gap cycle
 @example((2, 3), 1, 5, False)  # 2,4,2,4,2 over the two-gap cycle
 @example((2, 3, 5), 3, 9, True)
-def test_population_count_matches_brute_force(factors, start, length, perturb):
+def test_population_matches_brute_force(kernel, factors, start, length, perturb):
     # the target is a cyclic window of the cycle, possibly longer than it
     cyc = _cycle(factors)
     gaps = cyc.gaps.tolist()
@@ -326,9 +298,11 @@ def test_population_count_matches_brute_force(factors, start, length, perturb):
     s = Constellation(tuple(window))
     expected = brute_force_population(gaps, s)
     assert expected or perturb
-    assert population_count(cyc, s) == expected
+    for name in KERNEL_SIDES:
+        with kernel(name):
+            assert census_for(cyc, s).population == expected, name
     with small_slices():
-        assert population_count(cyc, s) == expected
+        assert census_for(cyc, s).population == expected
 
 
 @settings(max_examples=25, deadline=None)
@@ -356,11 +330,11 @@ def test_extension_scales_census_total(factors, q, h):
         assert census_for(extend_cycle(cyc, q), g).total == (q - 2) * census_for(cyc, g).total
 
 
-def test_census_population_matches_population_count(g7, g13):
+def test_census_population_matches_brute_force(g7, g13):
     for cyc in (g7, g13):
-        for s in (2, 30, Constellation((2, 10, 2)), Constellation((6, 6)),
-                  Constellation((2, 10, 2, 10, 2, 4, 2, 10, 2, 10, 2))):
-            assert census_for(cyc, s).population == population_count(cyc, s)
+        for s in (Constellation((2,)), Constellation((30,)), Constellation((2, 10, 2)),
+                  Constellation((6, 6)), Constellation((2, 10, 2, 10, 2, 4, 2, 10, 2, 10, 2))):
+            assert census_for(cyc, s).population == brute_force_population(cyc.gaps.tolist(), s)
 
 
 def test_stage19_census_matches_model(g13):
@@ -375,12 +349,12 @@ MODEL_TARGETS = [Constellation((g,)) for g in range(2, 33, 2)] + [
 ]
 
 
-def test_kernel_matches_population_model(g13):
+def test_kernel_matches_population_model(kernel, g13):
     assert len(MODEL_TARGETS) == 136
     g17 = build_primorial_cycle(17)
     for s in MODEL_TARGETS:
         assert s.span < 2 * next_prime(13)
         model = iterate(PopulationVector.from_census(census_for(g13, s)), 13, 17)
-        for name in KERNELS:
+        for name in KERNEL_SIDES:
             with kernel(name):
                 assert census_for(g17, s).vector(model.max_length) == list(model.entries), (s, name)

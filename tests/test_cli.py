@@ -415,6 +415,29 @@ def test_csv_to_a_fifo_writes_into_it(cycle13, tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["g13.gapc", "table.fifo"]
 
 
+@pytest.mark.parametrize("kind", ["dev-null", "directory", "fifo"])
+def test_build_out_refuses_a_path_that_is_no_regular_file(tmp_path, monkeypatch, capsys, kind):
+    # the cache is read back once written, which /dev/null, a directory or a
+    # FIFO cannot give, so the path is refused before anything is built
+    def no_build(*args):
+        raise AssertionError("built before checking --out")
+
+    monkeypatch.setattr(cycle_mod, "build_primorial_cycle", no_build)
+    monkeypatch.setattr(cycle_mod, "_merged_chunks", no_build)
+    out = {"dev-null": Path(os.devnull), "directory": tmp_path / "dir",
+           "fifo": tmp_path / "cache.fifo"}[kind]
+    if kind == "directory":
+        out.mkdir()
+    elif kind == "fifo":
+        os.mkfifo(out)
+    assert main(["build", "--prime", "5", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err and "regular file" in err
+    if kind != "dev-null":
+        assert sorted(p.name for p in tmp_path.iterdir()) == [out.name]
+        assert not any(out.iterdir()) if kind == "directory" else out.is_fifo()
+
+
 @pytest.mark.parametrize("command", ["census", "build"])
 def test_replacing_a_file_keeps_its_mode(cycle13, tmp_path, capsys, command):
     # the temporary file is made with the umask default; a new file keeps that

@@ -12,6 +12,7 @@ from gapsieve.primal import (
     is_prime,
     next_prime,
     phi_i,
+    prime_gap_slices,
     primes_in,
     primes_upto,
     radical_of_even,
@@ -75,6 +76,34 @@ def test_sieve_segment_matches_trial_division(window):
     # a base past isqrt(b), as prime_blocks passes to all but its last block
     base = np.array(primes_upto(isqrt(max(b, 0)) + 100), dtype=np.int64)
     assert sieve_segment(a, b, base).tolist() == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(-5, 2000),
+    st.integers(0, 800),
+    st.integers(0, 40),
+    st.sampled_from([3, 8, 101, 1 << 22]),
+)
+@example(3, 3, 4, 1 << 22)  # 3, 5, 7: two gaps, padded past 7
+@example(2, 0, 0, 1 << 22)  # one prime, no gap: nothing yielded
+@example(2, 500, 30, 3)  # many blocks carry before a slice has a start
+def test_prime_gap_slices_tile_the_gaps(a, width, extra, block):
+    # the starts of all slices are the window's gaps, once each and in order;
+    # each start's lookahead is the next gaps, then past b a gap of extra + 1
+    # and gaps of 1
+    b = a + width
+    gaps = np.diff(sieve_segment(a, b)).tolist()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(primal, "SIEVE_BLOCK", block)
+        slices = [(n, part.tolist()) for n, part in prime_gap_slices(a, b, extra)]
+    padded = gaps + [extra + 1, *[1] * (extra - 1)][:extra]
+    seen = 0
+    for n, part in slices:
+        assert n > 0
+        assert part == padded[seen : seen + n + extra]
+        seen += n
+    assert seen == len(gaps)
 
 
 def test_primes_in_errors(monkeypatch):

@@ -97,11 +97,12 @@ def brute_force_gap_count(a: int, b: int, pattern: list[int]) -> int:
 @example(3, 2, [2])  # [3, 5]: two primes, one gap
 @example(3, 4, [2, 2])  # [3, 7]: k + 1 primes, the fewest that can match
 @example(5, 6, [2, 4, 2])  # [5, 11]: k primes, one too few
-def test_actual_gap_count_matches_brute_force(a, width, pattern):
+def test_actual_gap_count_matches_brute_force(kernel, a, width, pattern):
     b = min(a + width, 5000)
-    assert actual_gap_count(a, b, Constellation(tuple(pattern))) == (
-        brute_force_gap_count(a, b, pattern)
-    )
+    expected = brute_force_gap_count(a, b, pattern)
+    for side in ("table", "walk"):
+        with kernel(side):
+            assert actual_gap_count(a, b, Constellation(tuple(pattern))) == expected, side
 
 
 @settings(max_examples=100, deadline=None)
@@ -113,13 +114,58 @@ def test_actual_gap_count_matches_brute_force(a, width, pattern):
 )
 @example(2, 20, [2, 2], 3)  # 3, 5, 7: the one 2,2 run, its primes in two blocks
 @example(11, 40, [2, 4, 2], 7)  # windows that cross several block ends
-def test_actual_gap_count_across_small_blocks(a, width, pattern, block):
+def test_actual_gap_count_across_small_blocks(kernel, a, width, pattern, block):
     # with a small odd block, windows cross block ends and some blocks hold no prime
     b = min(a + width, 1500)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(primal, "SIEVE_BLOCK", block)
-        got = actual_gap_count(a, b, Constellation(tuple(pattern)))
-    assert got == brute_force_gap_count(a, b, pattern)
+    expected = brute_force_gap_count(a, b, pattern)
+    for side in ("table", "walk"):
+        with kernel(side), pytest.MonkeyPatch.context() as mp:
+            mp.setattr(primal, "SIEVE_BLOCK", block)
+            assert actual_gap_count(a, b, Constellation(tuple(pattern))) == expected, side
+
+
+def test_actual_gap_count_reads_straight_through(kernel):
+    # the primes 5, 7, 11, 13, 17, 19 have the gaps 2, 4, 2, 4, 2
+    count = actual_gap_count
+    for side in ("table", "walk"):
+        with kernel(side):
+            assert count(5, 19, 2) == 3
+            assert count(5, 19, Constellation((2, 4))) == 2
+            assert count(5, 19, Constellation((4, 2, 4, 2))) == 1
+            # no wrap: the last gap does not run on into the first
+            assert count(5, 19, Constellation((2, 2))) == 0
+            # a target as long as the window starts once; a longer one reads
+            # past 19 only into gaps that match nothing
+            assert count(5, 19, Constellation((2, 4, 2, 4, 2))) == 1
+            for extra in ((4,), (4, 2), (4, 2, 4, 2), (2,), (6,)):
+                assert count(5, 19, Constellation((2, 4, 2, 4, 2) + extra)) == 0
+                assert count(5, 19, Constellation(extra + (2, 4, 2, 4, 2))) == 0
+            assert count(5, 5, 2) == 0  # one prime, no gap
+            # a span past u16 reads past 19 in int64 gaps
+            for target in ((70_000,), (2, 4, 70_000), (70_000, 2)):
+                assert count(5, 19, Constellation(target)) == 0
+
+
+def test_actual_gap_count_needs_the_last_prime_in_the_window(kernel):
+    # 3, 5, 7 is the one 2, 2 run; it ends at 7, just inside [3, 7] and past 6
+    for side in ("table", "walk"):
+        with kernel(side):
+            assert actual_gap_count(3, 6, Constellation((2, 2))) == 0
+            assert actual_gap_count(3, 7, Constellation((2, 2))) == 1
+
+
+@pytest.mark.parametrize("block", [2, 5, 16])
+def test_actual_gap_count_carries_blocks_with_no_start(kernel, block):
+    # a span of 60 or more needs more lookahead gaps than any block of at
+    # most 16 integers holds primes, so whole blocks carry with no start
+    targets = ([2, 4, 2, 4], [4, 2, 4, 2, 4, 2, 4, 6, 2, 6], [30, 32], [6] * 10)
+    for side in ("table", "walk"):
+        with kernel(side), pytest.MonkeyPatch.context() as mp:
+            mp.setattr(primal, "SIEVE_BLOCK", block)
+            for a, b in ((2, 400), (2, 1500), (97, 1213), (1100, 1500)):
+                for target in targets:
+                    got = actual_gap_count(a, b, Constellation(tuple(target)))
+                    assert got == brute_force_gap_count(a, b, target), (side, a, b, target)
 
 
 def test_actual_gap_count_to_1e8_in_bounded_memory(traced_peak):
