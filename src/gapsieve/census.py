@@ -212,6 +212,19 @@ def _table_counts(slices: Slices, boundaries: list[int], counts: np.ndarray) -> 
         counts += np.bincount((last - index[:n]) * hit, minlength=len(counts))[: len(counts)]
 
 
+def cycle_slices(cycle: GapCycle, span: int) -> tuple[Slices, int]:
+    """The cycle's ``cyclic_slices`` with span // least gaps after each start, and that count.
+
+    So many gaps pass the span, as ``window_counts`` needs; a zero gap is refused.
+    """
+    gaps = np.asarray(cycle.gaps)  # a memmap's slices would wrap every ufunc result
+    least = int(gaps.min())
+    if not least:
+        raise ValueError("the cycle holds a zero gap")
+    steps = span // least
+    return cyclic_slices(gaps, len(gaps), steps), steps
+
+
 def census_for(cycle: GapCycle, target: Constellation | int) -> PopulationVector:
     """Driving-term census for a gap or a constellation, as the model's state.
 
@@ -223,11 +236,7 @@ def census_for(cycle: GapCycle, target: Constellation | int) -> PopulationVector
     ``cyclic_slices``, and hold at most |s| // min(gaps) gaps.
     """
     t = as_constellation(target)
-    gaps = np.asarray(cycle.gaps)  # a memmap's slices would wrap every ufunc result
-    least = int(gaps.min())
-    if not least:
-        raise ValueError("the cycle holds a zero gap")
-    steps = t.span // least
-    counts = window_counts(cyclic_slices(gaps, len(gaps), steps), t, steps)[t.length :]
+    slices, steps = cycle_slices(cycle, t.span)
+    counts = window_counts(slices, t, steps)[t.length :]
     entries = tuple(np.trim_zeros(counts, "b").tolist()) or (0,)
     return PopulationVector(t.length, entries, phi_i(t.length + 1, cycle.factors))

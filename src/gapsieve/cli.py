@@ -35,6 +35,7 @@ def load_or_build_cycle(p: int) -> cycle_mod.GapCycle:
         cycle = cycle_mod.read_cache(str(path), mmap=True)
         if list(cycle.factors) != primes_upto(p):
             raise cycle_mod.CacheFormatError(f"{path} holds modulus {cycle.modulus}, not stage {p}")
+        cycle.require_total()
         return cycle
     path.parent.mkdir(parents=True, exist_ok=True)
     return cycle_mod.build_primorial_cycle_streaming(p, str(path))

@@ -8,7 +8,10 @@ all primes q with q^2 below the modulus.
 Attrition convention: a sieving prime q strikes the candidates it divides,
 except q itself, which is a confirmed prime and stays; the endpoints 1 and
 N+1 (the wrap image of 1) are never struck.  The survivors of a primorial
-cycle are then exactly 1 and the primes up to the modulus.
+cycle are then exactly 1 and the primes up to the modulus.  Each composite
+is struck once, by the first listed prime dividing it, so one key per
+candidate (that prime's list index, from a least-factor sieve) fixes the
+pass that strikes it, and every pass's gap histogram follows from the keys.
 """
 
 from __future__ import annotations
@@ -20,8 +23,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .census import Constellation, as_constellation, census_for, window_counts
-from .cycle import CHUNK_GAPS, GapCycle
+from . import cycle as cycle_mod
+from .census import Constellation, as_constellation, cycle_slices, window_counts
+from .cycle import GapCycle
 from .primal import check_window, next_prime, prime_gap_slices, primes_in
 
 
@@ -29,10 +33,13 @@ def naive_estimate(cycle: GapCycle, target: Constellation | int) -> float:
     """Uniform-density estimate of the target's count in [P, P^2], P the next stage.
 
     (P^2 - P) / N times the target's population in the cycle, computed as an
-    exact rational and returned as a float.
+    exact rational and returned as a float.  The population is the census
+    kernel's k-gap entry, walked k steps, as ``actual_gap_count`` reads it.
     """
+    t = as_constellation(target)
+    slices, _ = cycle_slices(cycle, t.span)
+    n = int(window_counts(slices, t, t.length)[t.length])
     p_next = next_prime(cycle.prime)
-    n = census_for(cycle, target).population
     return float(Fraction(p_next * p_next - p_next, cycle.modulus) * n)
 
 
@@ -119,106 +126,78 @@ def _histogram(counts: np.ndarray) -> dict[int, int]:
     return dict(zip(sizes.tolist(), counts[sizes].tolist()))
 
 
-# the set bits of each byte value, and 2^b for each position b of a 16-bit word.
-# The bit arithmetic below uses % and + where & and | would give the same
-# values: numpy's integer bitwise loops map extra code pages, which a short
-# run such as `reproduce` saw as 0.13-0.25 MB more peak RSS.
-_POPCOUNT8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
-_POW2 = np.array([1 << b for b in range(16)], dtype=np.uint16)
+# integers per least-factor sieve block: 2^20 u16 keys (2 MB) stay in cache under the
+# strided writes.  The stage-23 key sieve took 1.4-1.5 s at 2^20, 1.6-2.0 s at 2^21 and
+# 2^22, and 1.5-2.8 s at 2^18, where its 1,739 Python-level writes per block count.
+KEY_BLOCK = 1 << 20
 
 
-def _popcount16(words: np.ndarray) -> np.ndarray:
-    return _POPCOUNT8[words % 256] + _POPCOUNT8[words >> 8]
+def _strike_keys(vals: np.ndarray, sieve_primes: list[int]) -> np.ndarray:
+    """Each candidate's pass: the list index of the first listed prime dividing it other than itself.
 
-
-def _rank_table(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Jacobson's bitvector rank over the sorted, distinct candidate values ``vals``.
-
-    ``bits`` holds one bit per integer in [0, vals[-1]], in 16-bit words, set
-    for each candidate; ``rank[w]`` counts the candidates below word w.  The
-    bits are packed slice by slice, so the temporaries stay O(slice); slices
-    that share a word set different bits of it, so their words add.
+    1, N+1 and every survivor get len(sieve_primes).  Block by block, each
+    prime writes its index on its multiples from 2q up, the last listed
+    first, so the first listed divisor's index is the one left; the block's
+    candidates then read their keys.
     """
-    words = int(vals[-1]) // 16 + 1
-    bits = np.zeros(words, dtype=np.uint16)
-    for lo in range(0, len(vals), CHUNK_GAPS):
-        part = vals[lo : lo + CHUNK_GAPS]
-        a, b = int(part[0]) // 16, int(part[-1]) // 16 + 1
-        mark = np.zeros(16 * (b - a), dtype=bool)
-        mark[part - 16 * a] = True
-        bits[a:b] += np.packbits(mark, bitorder="little").view("<u2")
-    rank = np.zeros(words + 1, dtype=np.int32)
-    rank[1:] = _popcount16(bits)
-    return bits, np.cumsum(rank, dtype=np.int32, out=rank)
+    passes = len(sieve_primes)
+    keys = np.full(len(vals), passes, dtype=np.uint16 if passes < 0xFFFF else np.uint32)
+    top = int(vals[-1])  # N + 1 is never struck
+    strikers = [(i, q) for i, q in enumerate(sieve_primes) if 2 * q < top][::-1]
+    lo = 0
+    for a in range(int(vals[0]), top, KEY_BLOCK):
+        b = min(a + KEY_BLOCK, top)
+        # a key of the values' dtype, or searchsorted would convert them all
+        hi = int(np.searchsorted(vals, vals.dtype.type(b)))
+        block = np.full(b - a, passes, dtype=keys.dtype)
+        for i, q in strikers:
+            block[max(2 * q, -(-a // q) * q) - a :: q] = i
+        keys[lo:hi] = block[vals[lo:hi] - a]
+        lo = hi
+    return keys
 
 
-def _locate(bits: np.ndarray, rank: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The count of candidates below each x in [0, vals[-1]], and whether x is one.
+def _nearest(keys: np.ndarray, at: np.ndarray, r: np.ndarray, step: int, skip) -> np.ndarray:
+    """From each of ``at``, the nearest position ``step`` at a time where ``skip(key, r)`` fails.
 
-    A candidate's count is its index in the values.
+    1 and N+1 hold the largest key, so no scan leaves the values.
     """
-    w, b = x >> 4, x % 16
-    word = bits[w]
-    return rank[w] + _popcount16(word % _POW2[b]), (word >> b) % 2 == 1
+    idx = at + step
+    open_ = np.flatnonzero(skip(keys[idx], r))
+    while len(open_):
+        idx[open_] += step
+        open_ = open_[skip(keys[idx[open_]], r[open_])]
+    return idx
 
 
-def _strike_passes(
-    vals: np.ndarray, counts: np.ndarray, sieve_primes: list[int], n: int
-) -> tuple[np.ndarray, list[AttritionStep], np.ndarray]:
-    """Run the sieve passes over the candidates ``vals`` with gap counts ``counts``.
+def _pass_changes(vals: np.ndarray, keys: np.ndarray, passes: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row r + 1: pass r's change to the gap counts (row 0 is zero); and each pass's closures.
 
-    Survivors form a doubly linked list over the fixed index space of
-    ``vals``.  A pass strikes exactly the surviving q*k for surviving k in
-    [2, N/q]: a survivor divisible by q has no earlier-struck factor, so its
-    cofactor survives too (each composite is struck once, by the first
-    listed prime dividing it).  That holds for any sieve list, in any order,
-    with omissions or repeats.  The struck candidates form runs along the
-    list; each run's gaps give way to one merged gap and the run is
-    unlinked, so a pass costs O(candidates <= N/q + struck).  A product's
-    index and whether it is a candidate at all are read from a rank table
-    in O(1), with no binary search.
-
-    Returns the survivor mask, one step per pass and the final gap counts.
+    Before pass r the list holds the candidates with key >= r, and the pass
+    strikes those with key r.  A struck candidate's neighbours are the
+    nearest positions with key >= r on each side; a run of struck
+    candidates starts at a larger left key, ends at a larger right key, and
+    merges from its start's left neighbour to the first larger key past it.
+    Each struck candidate's left gap and each run end's right gap is removed
+    and each merged gap added, as (pass, gap) codes counted slice by slice.
     """
-    m = len(vals)
-    last = int(vals[-1]) - 1  # largest strikable value: N on a well-formed cycle
-    bits, rank = _rank_table(vals)
-    alive = np.ones(m, dtype=bool)
-    prev = np.arange(-1, m - 1, dtype=np.int32)
-    nxt = np.arange(1, m + 1, dtype=np.int32)
-    steps: list[AttritionStep] = []
-    for q in sieve_primes:
-        # the candidates k in [2, last // q]: there are none unless q <= N, so
-        # q * k is formed only where it fits the values' dtype.  The key has
-        # the values' dtype, or searchsorted would convert them all.
-        k_end = int(np.searchsorted(vals, vals.dtype.type(last // q), side="right"))
-        ks = vals[1 + np.flatnonzero(alive[1:k_end])]
-        products = q * ks if len(ks) else ks
-        idx, hit = _locate(bits, rank, products)
-        hit &= alive[idx]
-        struck, at = idx[hit], products[hit]
-        if len(struck):
-            alive[struck] = False
-            left, right = prev[struck], nxt[struck]
-            # a run of struck candidates starts where its left neighbour
-            # survives and ends where its right neighbour does
-            starts, ends = alive[left], alive[right]
-            before, after = left[starts], right[ends]
-            at_left, at_after = vals[left], vals[after]
-            # every gap touching a struck candidate: its left gap, plus the
-            # right gap of each run's last candidate
-            removed = np.bincount(np.concatenate((at - at_left, at_after - at[ends])))
-            merged = np.bincount(at_after - at_left[starts])
-            if len(merged) > len(counts):
-                counts = np.pad(counts, (0, len(merged) - len(counts)))
-            counts[: len(removed)] -= removed
-            counts[: len(merged)] += merged
-            nxt[before] = after
-            prev[after] = before
-        if int(np.arange(len(counts)) @ counts) != n:
-            raise AssertionError(f"gap total broke conservation at q={q}")
-        steps.append(AttritionStep(q, len(struck), _histogram(counts)))
-    return alive, steps, counts
+    rows = np.zeros((passes + 1) * width, dtype=np.int64)
+    closures = np.zeros(passes + 1, dtype=np.int64)
+    for lo in range(0, len(keys), cycle_mod.CHUNK_GAPS):
+        part = keys[lo : lo + cycle_mod.CHUNK_GAPS]
+        closures += np.bincount(part, minlength=passes + 1)
+        at = lo + np.flatnonzero(part < passes)
+        r = keys[at]
+        left = _nearest(keys, at, r, -1, np.less)
+        right = _nearest(keys, at, r, 1, np.less)
+        starts, ends = keys[left] > r, keys[right] > r
+        after = _nearest(keys, at[starts], r[starts], 1, np.less_equal)
+        code = (r.astype(np.int64) + 1) * width
+        v, v_left = vals[at], vals[left]
+        rows -= np.bincount(code + (v - v_left), minlength=len(rows))
+        rows -= np.bincount(code[ends] + (vals[right[ends]] - v[ends]), minlength=len(rows))
+        rows += np.bincount(code[starts] + (vals[after] - v_left[starts]), minlength=len(rows))
+    return rows.reshape(passes + 1, width), closures[:passes]
 
 
 def attrition(
@@ -247,15 +226,22 @@ def attrition(
         raise ValueError("the cycle holds a zero gap")
     cycle.require_total()
     vals = cycle.values(np.int32 if n + 1 < 2**31 else np.int64)
-    initial = _histogram(counts)
-    alive, steps, counts = _strike_passes(vals, counts, sieve_primes, n)
-    final_values = vals[alive].astype(np.int64)
+    keys = _strike_keys(vals, sieve_primes)
+    final_values = vals[keys == len(sieve_primes)].astype(np.int64)
     final_gaps = np.diff(final_values)
-    if not np.array_equal(np.bincount(final_gaps, minlength=len(counts)), counts):
+    # every gap of every pass lies within one final gap
+    rows, closures = _pass_changes(vals, keys, len(sieve_primes), int(final_gaps.max()) + 1)
+    rows[0, : len(counts)] = counts
+    np.cumsum(rows, axis=0, out=rows)
+    totals = rows @ np.arange(rows.shape[1])
+    for q, total in zip(sieve_primes, totals[1:].tolist()):
+        if total != n:
+            raise AssertionError(f"gap total broke conservation at q={q}")
+    if not np.array_equal(np.bincount(final_gaps, minlength=rows.shape[1]), rows[-1]):
         raise AssertionError("surviving gaps disagree with the tracked histogram")
-    return AttritionTrace(
-        pk, n, sieve_primes, initial, steps, final_values, final_gaps
-    )
+    steps = [AttritionStep(q, c, _histogram(row))
+             for q, c, row in zip(sieve_primes, closures.tolist(), rows[1:])]
+    return AttritionTrace(pk, n, sieve_primes, _histogram(counts), steps, final_values, final_gaps)
 
 
 def fold_confirmed_front(trace: AttritionTrace) -> np.ndarray:

@@ -727,6 +727,24 @@ def test_cache_dir_refuses_a_file_of_another_stage(tmp_path, monkeypatch, capsys
      ["reproduce", "table2"]],
     ids=lambda a: a[0],
 )
+def test_cache_dir_refuses_gaps_that_miss_the_modulus(tmp_path, monkeypatch, capsys, argv):
+    # one gap 2 made 4: the stage-13 gaps then sum to 30032, as --cycle refuses
+    gaps = build_primorial_cycle(13).gaps.copy()
+    gaps[np.flatnonzero(gaps == 2)[0]] = 4
+    write_cache(str(tmp_path / "g13.gapc"), GapCycle((2, 3, 5, 7, 11, 13), gaps))
+    monkeypatch.setenv("GAPSIEVE_CACHE_DIR", str(tmp_path))
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the cycle's gaps sum to 30032, not its modulus 30030\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["naive-error", "--pmin", "13", "--pmax", "13", "--gaps", "2", "--csv", "-"],
+     ["reproduce", "table2"]],
+    ids=lambda a: a[0],
+)
 def test_cache_dir_cycle_is_read_memory_mapped(tmp_path, monkeypatch, cache_reads, capsys, argv):
     write_cache(str(tmp_path / "g13.gapc"), build_primorial_cycle(13))
     monkeypatch.setenv("GAPSIEVE_CACHE_DIR", str(tmp_path))

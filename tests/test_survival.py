@@ -1,3 +1,4 @@
+from fractions import Fraction
 from math import isqrt
 
 import numpy as np
@@ -5,17 +6,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gapsieve import build_primorial_cycle, primal
-from gapsieve.census import Constellation
+from gapsieve import build_primorial_cycle, census, primal, survival
+from gapsieve import cycle as cycle_mod
+from gapsieve.census import Constellation, census_for
 from gapsieve.cli import main
 from gapsieve.cycle import cycle_for_factors, write_cache
 from gapsieve.primal import SIEVE_BUDGET, CapacityError, is_prime, primes_in
 from gapsieve.refvalues import ATTRITION_7_FOLDED, ATTRITION_13_OMITTED_PRIME
 from gapsieve.survival import (
     AttritionStep,
-    _locate,
-    _rank_table,
-    _strike_passes,
+    _pass_changes,
+    _strike_keys,
     actual_gap_count,
     attrition,
     error_report,
@@ -33,6 +34,17 @@ def test_naive_estimate_examples(g5, g7, g13):
 def test_naive_estimate_2_equals_4(g5, g7, g11, g13):
     for cyc in (g5, g7, g11, g13):
         assert naive_estimate(cyc, 2) == naive_estimate(cyc, 4)
+
+
+@pytest.mark.parametrize("side", ["table", "walk"])
+def test_naive_estimate_reads_the_census_population(kernel, g13, side):
+    # targets of a few gaps, and one of more than WALK_STEPS gaps (a window of g13)
+    long = Constellation(tuple(g13.gaps[100 : 106 + census.WALK_STEPS].tolist()))
+    scale = Fraction(17 * 17 - 17, g13.modulus)
+    with kernel(side):
+        assert census_for(g13, long).population  # the window itself, at least
+        for t in (2, 30, 150, Constellation((2, 4)), Constellation((6, 6, 6)), long):
+            assert naive_estimate(g13, t) == float(scale * census_for(g13, t).population), t
 
 
 def test_actual_gap_count_twins():
@@ -295,14 +307,19 @@ def full_pass_attrition(cycle, sieve_primes=None):
 
 
 def _assert_matches_oracle(cycle, sieve_primes=None):
-    trace = attrition(cycle, sieve_primes)
+    """attrition equals the oracle in the default slices and in 7-gap ones, whose
+    struck neighbours and runs cross many slice ends."""
     initial, steps, final_values, final_gaps = full_pass_attrition(cycle, sieve_primes)
-    assert trace.initial_histogram == initial
-    assert trace.steps == steps
-    assert trace.final_values.dtype == final_values.dtype
-    assert np.array_equal(trace.final_values, final_values)
-    assert trace.final_gaps.dtype == final_gaps.dtype
-    assert np.array_equal(trace.final_gaps, final_gaps)
+    for chunk in (cycle_mod.CHUNK_GAPS, 7):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cycle_mod, "CHUNK_GAPS", chunk)
+            trace = attrition(cycle, sieve_primes)
+        assert trace.initial_histogram == initial
+        assert trace.steps == steps, chunk
+        assert trace.final_values.dtype == final_values.dtype
+        assert np.array_equal(trace.final_values, final_values)
+        assert trace.final_gaps.dtype == final_gaps.dtype
+        assert np.array_equal(trace.final_gaps, final_gaps)
 
 
 @pytest.fixture(scope="module")
@@ -353,40 +370,54 @@ def test_attrition_stage17_final_gaps_are_prime_gaps(stage_cycles):
     assert trace.max_surviving_gap == int(expected.max())
 
 
-@pytest.mark.parametrize("factors", [(2, 3, 5, 7), (3, 5, 7), (3, 5, 7, 11), (2, 3, 5, 7, 11, 13)])
-@pytest.mark.parametrize("dtype", [np.int32, np.int64])
-def test_rank_lookup_matches_binary_search(factors, dtype):
-    vals = cycle_for_factors(factors).values(dtype)
-    bits, rank = _rank_table(vals)
-    # every integer up to N + 1: the candidates, the multiples of the modulus's
-    # primes between them, and both ends of each 16-bit word
-    x = np.arange(int(vals[-1]) + 1, dtype=dtype)
-    idx, present = _locate(bits, rank, x)
-    assert np.array_equal(idx, np.searchsorted(vals, x))
-    assert np.array_equal(present, np.isin(x, vals))
-    assert present.sum() == len(vals)
+def trial_division_keys(vals, sieve_primes):
+    """Each candidate's list index of the first listed divisor other than itself; N+1 gets the list's length."""
+    last = len(sieve_primes)
+    keys = [next((i for i, q in enumerate(sieve_primes) if x % q == 0 and x != q), last)
+            for x in vals.tolist()]
+    keys[-1] = last
+    return keys
 
 
-def test_rank_lookup_covers_word_edges():
-    # an odd modulus has even candidates, so both edge positions hold one
-    vals = cycle_for_factors((3, 5, 7)).values()
-    assert {0, 15} <= set((vals % 16).tolist())
-    q = 7
-    strikes = q * vals[vals <= vals[-1] // q]
-    idx, present = _locate(*_rank_table(vals), strikes)
-    assert not present.any()  # q divides N, so no q * k is a candidate
-    assert np.array_equal(idx, np.searchsorted(vals, strikes))
+@pytest.mark.parametrize("factors", [(3, 5, 7), (3, 5, 7, 11), (5, 7, 11), (3, 7, 13), (2, 3, 5, 7)])
+@pytest.mark.parametrize("block", [16, 1 << 20])
+def test_strike_keys_match_trial_division(monkeypatch, factors, block):
+    monkeypatch.setattr(survival, "KEY_BLOCK", block)
+    cycle = cycle_for_factors(factors)
+    n = cycle.modulus
+    small = [q for q in primes_in(2, 60) if n % q]
+    past_half = primes_in(n // 2 + 1, n + 1)[:3]  # none strikes; at N = 105, 2 * 53 is N + 1
+    lists = [
+        small,
+        small[::-1] + small[:3],  # repeated primes: the first listing keys
+        [2, 3] + past_half + small[4:] + [4294967311] + small[:4],  # primes past N/2 and 2^32
+        [past_half[0], 4294967311, small[0], small[0]],
+    ]
+    for sieve_primes in lists:
+        keys = _strike_keys(cycle.values(np.int32), sieve_primes)
+        assert keys.dtype == np.uint16
+        assert keys.tolist() == trial_division_keys(cycle.values(), sieve_primes), sieve_primes
+    if block > n:  # from 0xFFFF entries the keys are u32; the repeats key nothing new
+        many = small + [small[0]] * (0xFFFF - len(small))
+        keys = _strike_keys(cycle.values(np.int32), many)
+        assert keys.dtype == np.uint32
+        expected = trial_division_keys(cycle.values(), small)
+        assert keys.tolist() == [0xFFFF if k == len(small) else k for k in expected]
 
 
 def test_strike_passes_agree_across_value_dtypes(g13):
-    counts = np.bincount(g13.gaps).astype(np.int64)
     primes = _primes_above(g13)
-    runs = [_strike_passes(g13.values(dtype), counts.copy(), primes, g13.modulus)
-            for dtype in (np.int32, np.int64)]
-    (alive32, steps32, counts32), (alive64, steps64, counts64) = runs
-    assert steps32 == steps64
-    assert np.array_equal(alive32, alive64)
-    assert np.array_equal(counts32, counts64)
+    width = attrition(g13).max_surviving_gap + 1
+    runs = []
+    for dtype in (np.int32, np.int64):
+        vals = g13.values(dtype)
+        keys = _strike_keys(vals, primes)
+        runs.append((keys, *_pass_changes(vals, keys, len(primes), width)))
+    (keys32, rows32, closures32), (keys64, rows64, closures64) = runs
+    assert np.array_equal(keys32, keys64)
+    assert np.array_equal(rows32, rows64)
+    assert np.array_equal(closures32, closures64)
+    assert rows32.any()
 
 
 def test_attrition_skips_a_prime_past_the_modulus(g7):
