@@ -12,6 +12,9 @@ cycle are then exactly 1 and the primes up to the modulus.  Each composite
 is struck once, by the first listed prime dividing it, so one key per
 candidate (that prime's list index, from a least-factor sieve) fixes the
 pass that strikes it, and every pass's gap histogram follows from the keys.
+No strike reaches past the survivors on either side of it, so the cycle is
+walked in windows of one key block each, cut at the window's last
+survivor, and no whole-cycle array is held but the final values.
 """
 
 from __future__ import annotations
@@ -100,15 +103,18 @@ class AttritionTrace:
     initial_histogram: dict[int, int]
     steps: list[AttritionStep]
     final_values: np.ndarray
-    final_gaps: np.ndarray
+
+    @property
+    def final_gaps(self) -> np.ndarray:
+        return np.diff(self.final_values)
 
     @property
     def final_gap_count(self) -> int:
-        return len(self.final_gaps)
+        return len(self.final_values) - 1
 
     @property
     def max_surviving_gap(self) -> int:
-        return int(self.final_gaps.max())
+        return max(self.steps[-1].histogram if self.steps else self.initial_histogram)
 
     def first_stage_with_gap(self, g: int) -> int | None:
         """The first sieving prime whose closures create a gap of size g."""
@@ -126,41 +132,47 @@ def _histogram(counts: np.ndarray) -> dict[int, int]:
     return dict(zip(sizes.tolist(), counts[sizes].tolist()))
 
 
-# integers per least-factor sieve block: 2^20 u16 keys (2 MB) stay in cache under the
-# strided writes.  The stage-23 key sieve took 1.4-1.5 s at 2^20, 1.6-2.0 s at 2^21 and
-# 2^22, and 1.5-2.8 s at 2^18, where its 1,739 Python-level writes per block count.
+def _accumulate(total: np.ndarray, part: np.ndarray) -> np.ndarray:
+    """total + part, the gap axis (the last) as long as the longer one's.
+
+    Both are counts that nothing else holds: the sum is made in the longer.
+    """
+    if part.shape[-1] > total.shape[-1]:
+        total, part = part, total
+    total[..., : part.shape[-1]] += part
+    return total
+
+
+# integers per window of attrition, and so per least-factor sieve block: 2^20 u16 keys
+# (2 MB) stay in cache under the strided writes.  Each window is cut at its last
+# survivor.  The stage-23 key sieve took 1.4-1.5 s at 2^20, 1.6-2.0 s at 2^21 and 2^22,
+# and 1.5-2.8 s at 2^18, where its 1,739 Python-level writes per block count.
 KEY_BLOCK = 1 << 20
 
 
-def _strike_keys(vals: np.ndarray, sieve_primes: list[int]) -> np.ndarray:
+def _strike_keys(vals: np.ndarray, sieve_primes: list[int], top: int) -> np.ndarray:
     """Each candidate's pass: the list index of the first listed prime dividing it other than itself.
 
-    1, N+1 and every survivor get len(sieve_primes).  Block by block, each
-    prime writes its index on its multiples from 2q up, the last listed
-    first, so the first listed divisor's index is the one left; the block's
-    candidates then read their keys.
+    1, top (N+1) and every survivor get len(sieve_primes).  Over one block
+    from the first value to the last, each prime writes its index on its
+    multiples from 2q up, the last listed first, so the first listed
+    divisor's index is the one left; the candidates then read their keys.
     """
     passes = len(sieve_primes)
-    keys = np.full(len(vals), passes, dtype=np.uint16 if passes < 0xFFFF else np.uint32)
-    top = int(vals[-1])  # N + 1 is never struck
-    strikers = [(i, q) for i, q in enumerate(sieve_primes) if 2 * q < top][::-1]
-    lo = 0
-    for a in range(int(vals[0]), top, KEY_BLOCK):
-        b = min(a + KEY_BLOCK, top)
-        # a key of the values' dtype, or searchsorted would convert them all
-        hi = int(np.searchsorted(vals, vals.dtype.type(b)))
-        block = np.full(b - a, passes, dtype=keys.dtype)
-        for i, q in strikers:
-            block[max(2 * q, -(-a // q) * q) - a :: q] = i
-        keys[lo:hi] = block[vals[lo:hi] - a]
-        lo = hi
+    a, hi = int(vals[0]), int(vals[-1])
+    block = np.full(hi + 1 - a, passes, dtype=np.uint16 if passes < 0xFFFF else np.uint32)
+    for i, q in [(i, q) for i, q in enumerate(sieve_primes) if 2 * q <= hi][::-1]:
+        block[max(2 * q, -(-a // q) * q) - a :: q] = i
+    keys = block[vals - a]
+    if hi == top:
+        keys[-1] = passes
     return keys
 
 
 def _nearest(keys: np.ndarray, at: np.ndarray, r: np.ndarray, step: int, skip) -> np.ndarray:
     """From each of ``at``, the nearest position ``step`` at a time where ``skip(key, r)`` fails.
 
-    1 and N+1 hold the largest key, so no scan leaves the values.
+    The first and last keys are the largest, so no scan leaves the values.
     """
     idx = at + step
     open_ = np.flatnonzero(skip(keys[idx], r))
@@ -170,8 +182,8 @@ def _nearest(keys: np.ndarray, at: np.ndarray, r: np.ndarray, step: int, skip) -
     return idx
 
 
-def _pass_changes(vals: np.ndarray, keys: np.ndarray, passes: int, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row r + 1: pass r's change to the gap counts (row 0 is zero); and each pass's closures.
+def _pass_changes(vals: np.ndarray, keys: np.ndarray, passes: int, width: int) -> np.ndarray:
+    """Row r + 1: pass r's change to the gap counts (row 0 is zero).
 
     Before pass r the list holds the candidates with key >= r, and the pass
     strikes those with key r.  A struck candidate's neighbours are the
@@ -179,25 +191,49 @@ def _pass_changes(vals: np.ndarray, keys: np.ndarray, passes: int, width: int) -
     candidates starts at a larger left key, ends at a larger right key, and
     merges from its start's left neighbour to the first larger key past it.
     Each struck candidate's left gap and each run end's right gap is removed
-    and each merged gap added, as (pass, gap) codes counted slice by slice.
+    and each merged gap added, as (pass, gap) codes gathered slice by slice
+    and counted once.  The first and last values are survivors.
     """
-    rows = np.zeros((passes + 1) * width, dtype=np.int64)
-    closures = np.zeros(passes + 1, dtype=np.int64)
+    size = (passes + 1) * width
+    code_type = np.int32 if size < 2**31 else np.int64
+    minus, plus = [], []
     for lo in range(0, len(keys), cycle_mod.CHUNK_GAPS):
-        part = keys[lo : lo + cycle_mod.CHUNK_GAPS]
-        closures += np.bincount(part, minlength=passes + 1)
-        at = lo + np.flatnonzero(part < passes)
+        at = lo + np.flatnonzero(keys[lo : lo + cycle_mod.CHUNK_GAPS] < passes)
         r = keys[at]
         left = _nearest(keys, at, r, -1, np.less)
         right = _nearest(keys, at, r, 1, np.less)
         starts, ends = keys[left] > r, keys[right] > r
         after = _nearest(keys, at[starts], r[starts], 1, np.less_equal)
-        code = (r.astype(np.int64) + 1) * width
+        code = (r.astype(code_type) + 1) * width
         v, v_left = vals[at], vals[left]
-        rows -= np.bincount(code + (v - v_left), minlength=len(rows))
-        rows -= np.bincount(code[ends] + (vals[right[ends]] - v[ends]), minlength=len(rows))
-        rows += np.bincount(code[starts] + (vals[after] - v_left[starts]), minlength=len(rows))
-    return rows.reshape(passes + 1, width), closures[:passes]
+        minus += [code + (v - v_left), code[ends] + (vals[right[ends]] - v[ends])]
+        plus.append(code[starts] + (vals[after] - v_left[starts]))
+    rows = np.bincount(np.concatenate(plus), minlength=size)
+    rows -= np.bincount(np.concatenate(minus), minlength=size)
+    return rows.reshape(passes + 1, width)
+
+
+def _window(
+    rows: np.ndarray, tail: np.ndarray, gaps: np.ndarray, sieve_primes: list[int], top: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The passes over the candidates ``tail`` and those ``gaps`` past it, up to the last survivor.
+
+    Returns ``rows`` plus their pass rows (added here, so that no window's
+    rows outlive it), the survivors and their gap counts, and the candidates
+    from the last survivor on, which the next window takes as its ``tail``.
+    Every gap of every pass lies within one final gap, so the window's rows
+    are as wide as its widest final gap.
+    """
+    passes = len(sieve_primes)
+    vals = np.concatenate((tail, gaps), dtype=tail.dtype)
+    np.cumsum(vals[len(tail) - 1 :], out=vals[len(tail) - 1 :])
+    keys = _strike_keys(vals, sieve_primes, top)
+    alive = np.flatnonzero(keys == passes)
+    kept = vals[alive]
+    kept_counts = np.bincount(np.diff(kept))
+    last = int(alive[-1])
+    changes = _pass_changes(vals[: last + 1], keys[: last + 1], passes, len(kept_counts))
+    return _accumulate(rows, changes), kept, kept_counts, vals[last:].copy()
 
 
 def attrition(
@@ -209,8 +245,13 @@ def attrition(
     itself stays; it is the prime being confirmed) and merges the gaps
     around them.  The gap total is conserved at N after every pass, and the
     final gaps are checked against the counts tracked through the passes.
-    The candidates are int32 while N + 1 fits (every stage through 23),
-    int64 past that; the final values and gaps are int64.
+
+    The cycle is walked in windows of about KEY_BLOCK integers, each cut at
+    its last survivor: every strike's neighbours lie between the survivors
+    around it, so the passes over the window up to the cut are exact, and
+    the candidates from that survivor on carry into the next window.  The
+    candidates are int32 while N + 1 fits (every stage through 23), int64
+    past that; the final values are int64.
     """
     n = cycle.modulus
     pk = cycle.prime
@@ -221,27 +262,36 @@ def attrition(
         )
     else:
         sieve_primes = list(sieve_primes)
-    counts = np.bincount(cycle.gaps).astype(np.int64, copy=False)
+    passes = len(sieve_primes)
+    counts = np.zeros(1, dtype=np.int64)
+    for _, part in cycle_mod.cyclic_slices(cycle.gaps, cycle.gap_count):
+        counts = _accumulate(counts, np.bincount(part))
     if counts[0]:  # the passes conserve the gap total, so check it before the first
         raise ValueError("the cycle holds a zero gap")
     cycle.require_total()
-    vals = cycle.values(np.int32 if n + 1 < 2**31 else np.int64)
-    keys = _strike_keys(vals, sieve_primes)
-    final_values = vals[keys == len(sieve_primes)].astype(np.int64)
-    final_gaps = np.diff(final_values)
-    # every gap of every pass lies within one final gap
-    rows, closures = _pass_changes(vals, keys, len(sieve_primes), int(final_gaps.max()) + 1)
+    size = max(cycle_mod.CHUNK_GAPS, KEY_BLOCK * cycle.gap_count // n)
+    tail = np.ones(1, dtype=np.int32 if n + 1 < 2**31 else np.int64)  # 1 is never struck
+    pieces = [tail]  # the survivors, window by window
+    rows = np.zeros((passes + 1, 1), dtype=np.int64)
+    final_counts = np.zeros(1, dtype=np.int64)
+    for lo in range(0, cycle.gap_count, size):
+        gaps = cycle.gaps[lo : lo + size]
+        rows, kept, kept_counts, tail = _window(rows, tail, gaps, sieve_primes, n + 1)
+        final_counts = _accumulate(final_counts, kept_counts)
+        pieces.append(kept[1:])
     rows[0, : len(counts)] = counts
     np.cumsum(rows, axis=0, out=rows)
     totals = rows @ np.arange(rows.shape[1])
     for q, total in zip(sieve_primes, totals[1:].tolist()):
         if total != n:
             raise AssertionError(f"gap total broke conservation at q={q}")
-    if not np.array_equal(np.bincount(final_gaps, minlength=rows.shape[1]), rows[-1]):
+    if not np.array_equal(final_counts, rows[-1]):
         raise AssertionError("surviving gaps disagree with the tracked histogram")
+    closures = -np.diff(rows.sum(axis=1))  # each closure joins two gaps into one
     steps = [AttritionStep(q, c, _histogram(row))
              for q, c, row in zip(sieve_primes, closures.tolist(), rows[1:])]
-    return AttritionTrace(pk, n, sieve_primes, _histogram(counts), steps, final_values, final_gaps)
+    final_values = np.concatenate(pieces, dtype=np.int64)
+    return AttritionTrace(pk, n, sieve_primes, _histogram(counts), steps, final_values)
 
 
 def fold_confirmed_front(trace: AttritionTrace) -> np.ndarray:

@@ -379,10 +379,16 @@ def trial_division_keys(vals, sieve_primes):
     return keys
 
 
+def window_keys(vals, sieve_primes, top, size):
+    """_strike_keys over windows of ``size`` positions, each from its own first value."""
+    return np.concatenate([survival._strike_keys(vals[lo : lo + size], sieve_primes, top)
+                           for lo in range(0, len(vals), size)])
+
+
 @pytest.mark.parametrize("factors", [(3, 5, 7), (3, 5, 7, 11), (5, 7, 11), (3, 7, 13), (2, 3, 5, 7)])
 @pytest.mark.parametrize("block", [16, 1 << 20])
-def test_strike_keys_match_trial_division(monkeypatch, factors, block):
-    monkeypatch.setattr(survival, "KEY_BLOCK", block)
+def test_strike_keys_match_trial_division(factors, block):
+    # in windows of 16 positions the blocks start at values past 1, as attrition's do
     cycle = cycle_for_factors(factors)
     n = cycle.modulus
     small = [q for q in primes_in(2, 60) if n % q]
@@ -394,12 +400,12 @@ def test_strike_keys_match_trial_division(monkeypatch, factors, block):
         [past_half[0], 4294967311, small[0], small[0]],
     ]
     for sieve_primes in lists:
-        keys = _strike_keys(cycle.values(np.int32), sieve_primes)
+        keys = window_keys(cycle.values(np.int32), sieve_primes, n + 1, block)
         assert keys.dtype == np.uint16
         assert keys.tolist() == trial_division_keys(cycle.values(), sieve_primes), sieve_primes
     if block > n:  # from 0xFFFF entries the keys are u32; the repeats key nothing new
         many = small + [small[0]] * (0xFFFF - len(small))
-        keys = _strike_keys(cycle.values(np.int32), many)
+        keys = window_keys(cycle.values(np.int32), many, n + 1, block)
         assert keys.dtype == np.uint32
         expected = trial_division_keys(cycle.values(), small)
         assert keys.tolist() == [0xFFFF if k == len(small) else k for k in expected]
@@ -411,13 +417,14 @@ def test_strike_passes_agree_across_value_dtypes(g13):
     runs = []
     for dtype in (np.int32, np.int64):
         vals = g13.values(dtype)
-        keys = _strike_keys(vals, primes)
-        runs.append((keys, *_pass_changes(vals, keys, len(primes), width)))
-    (keys32, rows32, closures32), (keys64, rows64, closures64) = runs
+        keys = _strike_keys(vals, primes, g13.modulus + 1)
+        runs.append((keys, _pass_changes(vals, keys, len(primes), width)))
+    (keys32, rows32), (keys64, rows64) = runs
     assert np.array_equal(keys32, keys64)
     assert np.array_equal(rows32, rows64)
-    assert np.array_equal(closures32, closures64)
     assert rows32.any()
+    # each pass's closures, its keys' count, take one gap each from the count
+    assert (-rows32.sum(axis=1)[1:]).tolist() == np.bincount(keys32)[: len(primes)].tolist()
 
 
 def test_attrition_skips_a_prime_past_the_modulus(g7):
@@ -427,3 +434,44 @@ def test_attrition_skips_a_prime_past_the_modulus(g7):
     assert trace.steps[-1].closures == 0
     assert trace.steps[-1].histogram == trace.steps[0].histogram
     assert trace.final_values.dtype == np.int64
+
+
+def _assert_windows_match(cycle, sieve_primes=None):
+    """attrition in windows of 64 integers, with 7-gap slices, equals its one-window run."""
+    whole = attrition(cycle, sieve_primes)
+    assert cycle.modulus < survival.KEY_BLOCK  # one window
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(survival, "KEY_BLOCK", 64)
+        mp.setattr(cycle_mod, "CHUNK_GAPS", 7)
+        windowed = attrition(cycle, sieve_primes)
+    assert windowed.initial_histogram == whole.initial_histogram
+    assert windowed.steps == whole.steps
+    assert windowed.final_values.dtype == np.int64
+    assert np.array_equal(windowed.final_values, whole.final_values)
+
+
+@pytest.mark.parametrize("factors", [(2, 3, 5, 7, 11, 13), (2, 3, 5, 7, 11, 13, 17),
+                                     (3, 5, 7, 11), (5, 7, 11)],
+                         ids=["13#", "17#", "3*5*7*11", "5*7*11"])
+def test_attrition_in_small_windows_matches_one_window(factors):
+    cycle = cycle_for_factors(factors)
+    for sieve_primes in (None, [17, 19, 23, 29, 31], [101, 17, 59]):
+        _assert_windows_match(cycle, sieve_primes)
+
+
+def test_attrition_never_strikes_the_wrap_value(g13):
+    # 13# + 1 = 30031 = 59 * 509 stays, as 1 does
+    trace = attrition(g13, [59])
+    assert trace.final_values[-1] == 30031
+    assert trace.steps[0].closures == sum(1 for v in g13.values().tolist()[1:-1]
+                                          if v % 59 == 0 and v != 59)
+    _assert_matches_oracle(g13, [59])
+    _assert_windows_match(g13, [59])
+
+
+def test_attrition_stage19_in_bounded_memory(traced_peak):
+    # whole-cycle values, keys, final values and gaps peaked at 22.9 MB
+    g19 = build_primorial_cycle(19)
+    trace, peak_mb = traced_peak(lambda: attrition(g19))
+    assert trace.final_gap_count == 646_022 and trace.max_surviving_gap == 154
+    assert peak_mb < 16
