@@ -4,10 +4,11 @@ One kernel, ``window_counts``, counts windows of consecutive gaps over a
 stream of slices, walked or table-driven by width.  Gaps are positive, so at
 most one window of a start sums to the target, and a k-gap window that hits
 all k boundaries is the target itself.  ``census_for`` feeds it a cycle's
-``cyclic_slices``, so windows wrap (more than once when the target sum
-exceeds the modulus); its counts by length are a PopulationVector, the state
-the model in dynsys steps, and a gap is a length-1 constellation.  Among the
-primes, ``survival.actual_gap_count`` feeds it ``primal.prime_gap_slices``.
+``cyclic_slices`` once ``GapCycle.least`` has checked the cycle, so windows
+wrap (more than once when the target sum exceeds the modulus); its counts by
+length are a PopulationVector, the state the model in dynsys steps, and a
+gap is a length-1 constellation.  Among the primes,
+``survival.actual_gap_count`` feeds it ``primal.prime_gap_slices``.
 """
 
 from __future__ import annotations
@@ -138,12 +139,14 @@ def window_counts(slices: Slices, target: Constellation, steps: int) -> np.ndarr
     """Counts by length (index 0 unused) of the windows of at most ``steps`` gaps hitting every boundary.
 
     The boundaries are the target's prefix sums.  Each slice holds n starts
-    and, after them, at least ``steps`` gaps, which sum past the span.
-    Up to WALK_STEPS steps each slice is walked, at one pass per step until
-    its least sum passes the span; more steps use a position table, at a
-    fixed dozen passes per slice.  Stage 23, seconds walked / tabled: gap 30
-    0.16 / 0.60, gap 180 (90 steps) 0.61 / 0.64, gap 240 0.73 / 0.59, so
-    the walk wins to about 90 steps.
+    and, after them, at least ``steps`` gaps.  Up to WALK_STEPS steps each
+    slice is walked, at one pass per step until its least sum passes the
+    span; more steps use a position table, at a fixed dozen passes per
+    slice.  Stage 23, seconds walked / tabled: gap 30 0.16 / 0.60, gap 180
+    (90 steps) 0.61 / 0.64, gap 240 0.73 / 0.59, so the walk wins to about
+    90 steps.  A slice with fewer starts than steps is tabled either way:
+    a span-48 census over 7-start slices of a cycle whose least gap is 1
+    took 5.3 s walked and 0.20 s tabled.
     """
     counts = np.zeros(steps + 1, dtype=np.int64)
     kernel = _walk_counts if steps <= WALK_STEPS else _table_counts
@@ -155,12 +158,16 @@ def _walk_counts(slices: Slices, boundaries: list[int], counts: np.ndarray) -> N
     """Step j adds each start's j-th gap to its sum, in u16 unless that could wrap.
 
     Sums rise strictly, so a start counts at length j when its sum is the
-    last boundary and it has hit each interior one, once.
+    last boundary and it has hit each interior one, once.  A slice with
+    fewer starts than steps goes to the table; the walk keeps its buffers.
     """
     *inner, last = boundaries
     steps = len(counts) - 1
     sums32 = None
     for n, part in slices:
+        if n < steps:
+            _table_counts([(n, part)], boundaries, counts)
+            continue
         if sums32 is None or n > len(sums32):
             sums32 = np.empty(n, dtype=np.uint32)
             hits_buf = np.empty(n, dtype=np.min_scalar_type(len(inner)))
@@ -190,9 +197,10 @@ def _table_counts(slices: Slices, boundaries: list[int], counts: np.ndarray) -> 
     Gaps are positive, so a slice's prefix sums are distinct, and a table
     ``pos`` over their range maps each to its index and all else to -1.
     Each boundary is then one gather per start: the interior ones AND into
-    a hit mask, and the last gives the window's end index.  No lookup passes
-    the slice's last value, which lies past every start's window; windows
-    longer than the counts reach are cut.
+    a hit mask, and the last gives the window's end index.  The table runs
+    the span past the slice's last value, so no lookup passes its end; a
+    window the slice ends inside is longer than the counts reach, and is
+    cut with the others.
     """
     for n, part in slices:
         values = np.empty(len(part) + 1, dtype=np.int64)
@@ -200,7 +208,7 @@ def _table_counts(slices: Slices, boundaries: list[int], counts: np.ndarray) -> 
         values[1:] = part
         np.cumsum(values, out=values)
         index = np.arange(len(values), dtype=np.int32)
-        pos = np.full(int(values[-1]) + 1, -1, dtype=np.int32)
+        pos = np.full(int(values[-1]) + boundaries[-1] + 1, -1, dtype=np.int32)
         pos[values] = index
         start = values[:n]
         # pos[b:][start] is pos[start + b]
@@ -212,19 +220,6 @@ def _table_counts(slices: Slices, boundaries: list[int], counts: np.ndarray) -> 
         counts += np.bincount((last - index[:n]) * hit, minlength=len(counts))[: len(counts)]
 
 
-def cycle_slices(cycle: GapCycle, span: int) -> tuple[Slices, int]:
-    """The cycle's ``cyclic_slices`` with span // least gaps after each start, and that count.
-
-    So many gaps pass the span, as ``window_counts`` needs; a zero gap is refused.
-    """
-    gaps = np.asarray(cycle.gaps)  # a memmap's slices would wrap every ufunc result
-    least = int(gaps.min())
-    if not least:
-        raise ValueError("the cycle holds a zero gap")
-    steps = span // least
-    return cyclic_slices(gaps, len(gaps), steps), steps
-
-
 def census_for(cycle: GapCycle, target: Constellation | int) -> PopulationVector:
     """Driving-term census for a gap or a constellation, as the model's state.
 
@@ -233,10 +228,11 @@ def census_for(cycle: GapCycle, target: Constellation | int) -> PopulationVector
     then collapse it to s, and the j1-gap ones are s itself.  A gap g is the
     constellation (g,).  Entries run from j1 to the longest driving term
     found, or are (0,) when none is.  Windows wrap, read through
-    ``cyclic_slices``, and hold at most |s| // min(gaps) gaps.
+    ``cyclic_slices``, and hold at most |s| // ``cycle.least`` gaps.
     """
     t = as_constellation(target)
-    slices, steps = cycle_slices(cycle, t.span)
+    steps = t.span // cycle.least
+    slices = cyclic_slices(cycle.gaps, cycle.gap_count, steps)
     counts = window_counts(slices, t, steps)[t.length :]
     entries = tuple(np.trim_zeros(counts, "b").tolist()) or (0,)
     return PopulationVector(t.length, entries, phi_i(t.length + 1, cycle.factors))

@@ -16,14 +16,15 @@ Copy k's pieces follow one another from its offset, Legendre's count of the
 kept gaps before it, in either a preallocated array or a cache file, so the
 walk holds O(CHUNK_GAPS) memory at every stage.
 
-Every pass over a cycle (the merge walk, the census and verification)
-reads it through ``cyclic_slices``, so a memory-mapped cycle costs
-O(CHUNK_GAPS) extra memory.
+Every pass over a cycle (the merge walk, ``GapCycle.least``'s check, the
+census and verification) reads it through ``cyclic_slices``, so a
+memory-mapped cycle costs O(CHUNK_GAPS) extra memory.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import os
 import struct
@@ -78,16 +79,24 @@ class GapCycle:
         """Largest prime factor (the sieve stage for primorial cycles)."""
         return max(self.factors)
 
-    @property
-    def total(self) -> int:
-        """The sum of the gaps, accumulated in int64 (numpy reduces in buffered blocks)."""
-        return int(self.gaps.sum(dtype=np.int64))
+    @functools.cached_property
+    def least(self) -> int:
+        """The least gap, from one pass that refuses a zero gap or a total other than N.
 
-    def require_total(self) -> None:
-        """Refuse gaps that do not sum to the modulus, before any narrow prefix sum wraps."""
-        total = self.total
+        Every kernel over the cycle relies on both: window sums rise strictly,
+        and prefix sums end at N + 1, which sets their width.  Each kernel
+        reads this first, so a cycle is checked once, however it was made;
+        ``verify_cycle`` reports both instead.
+        """
+        total, least = 0, GAP_LIMIT
+        for _, part in cyclic_slices(self.gaps, self.gap_count):
+            total += int(part.sum(dtype=np.int64))
+            least = min(least, int(part.min()))
+        if not least:
+            raise ValueError("the cycle holds a zero gap")
         if total != self.modulus:
             raise ValueError(f"the cycle's gaps sum to {total}, not its modulus {self.modulus}")
+        return least
 
     def values(self, dtype=np.int64) -> np.ndarray:
         """Candidate values 1, g1+1, ..., N+1 (prefix sums, one array of ``dtype``)."""
@@ -122,6 +131,7 @@ def cyclic_slices(
     them, read cyclically (length and extra may exceed the cycle).  It is a
     view where the slice does not wrap and an O(slice) copy where it does.
     """
+    gaps = np.asarray(gaps)  # a memmap's slices would wrap every ufunc result
     m = len(gaps)
     for lo in range(0, length, CHUNK_GAPS):
         n = min(CHUNK_GAPS, length - lo)

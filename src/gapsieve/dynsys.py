@@ -15,7 +15,7 @@ eigenvalue products accumulate in log space, as log1p(-(j - 1)/(p - 2)) per
 prime.  From the prime 2 + (jmax - 1) 2^15 up, every j comes from the same
 two to four power sums of 1/(p - 2), the series cut where its tail falls
 2^-60 below each term; below that prime the series converges too slowly,
-so each j keeps its own np.log1p.  The products hold one prime block of
+so each j keeps its own math.log1p.  The products hold one prime block of
 primal.prime_blocks at a time, plus four float64 buffers of _BATCH primes,
 whatever the range; each SIEVE_BLOCK's log sum is rounded once, from the
 exact sum of its terms, so the SIEVE_BLOCK partition, not the batch size,
@@ -132,8 +132,9 @@ def _block_log_sums(ps: np.ndarray, jmax: int, buffers: np.ndarray) -> dict[int,
     tails have one sign, so the truncated series is within 2^-60, relatively,
     of the primes' exact sum.  M <= 4 by the cut, and M = 2 near 1e11.
     Below the cut t can be near 1 and the series needs too many terms, so
-    those primes keep one np.log1p per j, of -(j - 1)/(p - 2) rounded once,
-    as math.log1p takes it.
+    those primes keep one math.log1p per j, of -(j - 1)/(p - 2) rounded
+    once: numpy's SIMD log1p rounds apart from it by build, and from a small
+    p0 the sums pass -4, where that moved a_j by up to 10 ulps.
 
     The work goes _BATCH primes at a time through the four rows of buffers,
     whose exact level sums (_exact_levels) make the batch size irrelevant.
@@ -149,7 +150,7 @@ def _block_log_sums(ps: np.ndarray, jmax: int, buffers: np.ndarray) -> dict[int,
         den -= 2.0
         for j, parts in levels.items():
             np.divide(1 - j, den, out=logs)
-            np.log1p(logs, out=logs)
+            logs[:] = list(map(math.log1p, logs.tolist()))
             _exact_levels(logs, scratch, parts)
     power_levels: list[list[float]] = []
     if split < len(ps):

@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from . import cycle as cycle_mod
-from .census import Constellation, as_constellation, cycle_slices, window_counts
+from .census import Constellation, as_constellation, window_counts
 from .cycle import GapCycle
 from .primal import check_window, next_prime, prime_gap_slices, primes_in
 
@@ -40,7 +40,8 @@ def naive_estimate(cycle: GapCycle, target: Constellation | int) -> float:
     kernel's k-gap entry, walked k steps, as ``actual_gap_count`` reads it.
     """
     t = as_constellation(target)
-    slices, _ = cycle_slices(cycle, t.span)
+    cycle.least  # the check every census of the cycle makes first
+    slices = cycle_mod.cyclic_slices(cycle.gaps, cycle.gap_count, t.length)
     n = int(window_counts(slices, t, t.length)[t.length])
     p_next = next_prime(cycle.prime)
     return float(Fraction(p_next * p_next - p_next, cycle.modulus) * n)
@@ -143,11 +144,12 @@ def _accumulate(total: np.ndarray, part: np.ndarray) -> np.ndarray:
     return total
 
 
-# integers per window of attrition, and so per least-factor sieve block: 2^20 u16 keys
-# (2 MB) stay in cache under the strided writes.  Each window is cut at its last
+# integers per window of attrition, and so per least-factor sieve block: 2^19 u16 keys
+# (1 MB) stay in cache under the strided writes.  Each window is cut at its last
 # survivor.  The stage-23 key sieve took 1.4-1.5 s at 2^20, 1.6-2.0 s at 2^21 and 2^22,
-# and 1.5-2.8 s at 2^18, where its 1,739 Python-level writes per block count.
-KEY_BLOCK = 1 << 20
+# and 1.5-2.8 s at 2^18, where its Python-level writes count; at 2^20 a stage-19
+# window's 6 MB of temporaries left the malloc heap 5 MB larger in some source layouts.
+KEY_BLOCK = 1 << 19
 
 
 def _strike_keys(vals: np.ndarray, sieve_primes: list[int], top: int) -> np.ndarray:
@@ -263,12 +265,10 @@ def attrition(
     else:
         sieve_primes = list(sieve_primes)
     passes = len(sieve_primes)
+    cycle.least  # the passes conserve the gap total, so check it before the first
     counts = np.zeros(1, dtype=np.int64)
     for _, part in cycle_mod.cyclic_slices(cycle.gaps, cycle.gap_count):
         counts = _accumulate(counts, np.bincount(part))
-    if counts[0]:  # the passes conserve the gap total, so check it before the first
-        raise ValueError("the cycle holds a zero gap")
-    cycle.require_total()
     size = max(cycle_mod.CHUNK_GAPS, KEY_BLOCK * cycle.gap_count // n)
     tail = np.ones(1, dtype=np.int32 if n + 1 < 2**31 else np.int64)  # 1 is never struck
     pieces = [tail]  # the survivors, window by window

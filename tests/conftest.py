@@ -40,8 +40,9 @@ def traced_peak():
 
 @pytest.fixture(scope="session")
 def kernel():
-    """kernel(side): a context in which census.window_counts tables ("table") or
-    walks ("walk") every window, whatever its span."""
+    """kernel(side): a context in which census.window_counts tables ("table") every
+    window, or ("walk") lifts WALK_STEPS, so only slices with fewer starts than
+    steps are tabled."""
     @contextmanager
     def on(side):
         with pytest.MonkeyPatch.context() as mp:

@@ -234,20 +234,27 @@ def test_kernel_matches_brute_force(kernel, factors, target):
 def test_walk_sums_past_u16(kernel, name):
     # gaps of 2000-8000, so the walk's sums pass 0xFFFF within its at most 33
     # steps: 7536 and eleven 8000s sum to 30,000 mod 2^16, and the spans of
-    # 66,000 pass it themselves
+    # 66,000 pass it themselves.  They are no cycle of any modulus, so the
+    # kernel reads their cyclic slices directly
     rng = random.Random(22)
     gaps = [rng.choice((2000, 3000, 4000)) for _ in range(300)]
     gaps[100:112] = [7536] + [8000] * 11
-    cyc = cycle_mod.GapCycle((2,), np.array(gaps, np.uint16))
+    array = np.array(gaps, np.uint16)
+
+    def census(s, steps):
+        slices = cycle_mod.cyclic_slices(array, len(array), steps)
+        return np.trim_zeros(census_mod.window_counts(slices, s, steps)[s.length :], "b").tolist()
+
     for s in (Constellation((30_000,)), Constellation((10_000, 20_000)),
               Constellation((66_000,)), Constellation((30_000, 36_000))):
-        assert s.span // 2000 <= census_mod.WALK_STEPS
+        steps = s.span // 2000
+        assert steps <= census_mod.WALK_STEPS
         expected = dense(brute_force_census(gaps, s), s.length)
         assert sum(expected) > 0, s
         with kernel(name):
-            assert census_for(cyc, s).vector() == expected, s
+            assert census(s, steps) == expected, s
             with small_slices():
-                assert census_for(cyc, s).vector() == expected, s
+                assert census(s, steps) == expected, s
 
 
 @settings(max_examples=40, deadline=None)

@@ -170,6 +170,15 @@ def test_verify_cycle_palindrome_checked_in_chunks(g13, monkeypatch):
     assert "palindrome: FAIL" in report.lines()
 
 
+def test_least_checks_the_gaps(g13):
+    assert g13.least == 2
+    assert cycle_for_factors((3, 5, 7)).least == 1
+    with pytest.raises(ValueError, match="^the cycle holds a zero gap$"):
+        GapCycle((2, 3, 5), np.array([6, 4, 2, 0, 6, 4, 6, 2], np.uint16)).least
+    with pytest.raises(ValueError, match="^the cycle's gaps sum to 104, not its modulus 210$"):
+        GapCycle((2, 3, 5, 7), np.array([10] + [2] * 47, np.uint16)).least
+
+
 def test_cache_round_trip(tmp_path, g13):
     path = tmp_path / "g13.gapc"
     write_cache(str(path), g13)

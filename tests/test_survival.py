@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction
 from math import isqrt
 
@@ -45,6 +46,37 @@ def test_naive_estimate_reads_the_census_population(kernel, g13, side):
         assert census_for(g13, long).population  # the window itself, at least
         for t in (2, 30, 150, Constellation((2, 4)), Constellation((6, 6, 6)), long):
             assert naive_estimate(g13, t) == float(scale * census_for(g13, t).population), t
+
+
+def test_naive_estimate_in_slices_shorter_than_the_target(g13, monkeypatch):
+    # 7-start slices hold fewer starts than a target of more than 7 gaps takes
+    # steps, so they go to the table with only the target's length of gaps
+    # after their starts, which need not pass its span
+    targets = (2, Constellation((6, 6, 6)), Constellation(tuple(g13.gaps[100:112].tolist())))
+    expected = [naive_estimate(g13, t) for t in targets]
+    monkeypatch.setattr(cycle_mod, "CHUNK_GAPS", 7)
+    assert [naive_estimate(g13, t) for t in targets] == expected
+
+
+def test_a_cycle_is_checked_once(monkeypatch):
+    # GapCycle.least is the one pass that checks the gaps; two censuses, an
+    # estimate and an attrition of one cycle make it once between them
+    checked = []
+    check = cycle_mod.GapCycle.least.func
+
+    def counted(cycle):
+        checked.append(cycle)
+        return check(cycle)
+
+    least = functools.cached_property(counted)
+    least.__set_name__(cycle_mod.GapCycle, "least")
+    monkeypatch.setattr(cycle_mod.GapCycle, "least", least)
+    cyc = build_primorial_cycle(11)
+    census_for(cyc, 2)
+    census_for(cyc, Constellation((2, 10, 2)))
+    naive_estimate(cyc, 4)
+    attrition(cyc)
+    assert len(checked) == 1 and checked[0] is cyc
 
 
 def test_actual_gap_count_twins():
