@@ -3,17 +3,22 @@
 A squarefree modulus, such as the primorial p# of a sieve stage, is written
 everywhere in the package as the ascending tuple of its distinct primes, and
 ``phi_i`` over that tuple is the one totient.  Every prime list and block
-comes from one segmented sieve, ``sieve_segment``, so sieving a window
-[a, b] holds O(sqrt(b) + SIEVE_BLOCK) working memory at a time.  The bound
-holds for the consumers of ``prime_blocks`` too: ``eigenvalue_products``
-keeps one block and fixed-size buffers, and ``prime_gap_slices`` one block of
-gaps and its carry, never a list of the window's primes; only ``primes_in``
-returns one.  The trial division in ``is_prime`` and ``factorize`` serves
-single numbers: input checks and the tests' independent reference.
+comes from one segmented sieve, ``sieve_segment``, whose mask holds only the
+numbers 6k + 1 and 6k + 5, a third of the integers.  The primes below 2^16
+are one table, sieved once by the same kernel: a window below 2^16 is a copy
+of a slice of it, and every base of sieving primes up to isqrt(2^32) is a
+slice.  Sieving a window [a, b] holds O(sqrt(b) + SIEVE_BLOCK) working memory
+at a time.  The bound holds for the consumers of ``prime_blocks`` too:
+``eigenvalue_products`` keeps one block and fixed-size buffers, and
+``prime_gap_slices`` one block of gaps and its carry, never a list of the
+window's primes; only ``primes_in`` returns one.  The trial division in
+``is_prime`` and ``factorize`` serves single numbers: input checks and the
+tests' independent reference.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from math import isqrt
 from typing import Iterator
 
@@ -24,15 +29,21 @@ PRIME_FACTOR_CAP = 101
 
 SIEVE_BUDGET = 10**10
 
-# A base prime from here up hits the odd half of a SIEVE_BLOCK at most 128
-# times, so sieve_segment strikes all of them together by fancy indexing
-# rather than one strided slice apiece.
+# A base prime p from here up hits a column of a SIEVE_BLOCK's mask at most
+# 2^22 / (6 * 2^14) < 43 times, so sieve_segment strikes all of them together
+# by fancy indexing, in 43 rounds a block, rather than by one strided slice
+# per column apiece.  Four blocks near 1e11 took 40.4-42.0, 40.5-42.4 and
+# 44.8-46.2 ms with the split at 2^13, 2^14 and 2^15 (medians of three runs
+# on a 2-vCPU Xeon).
 _SCATTER_FROM = 1 << 14
 
 # Integers per sieve block.  eigenvalue_products rounds each block's log sum
 # once, to the math.fsum value, so this partition fixes the rounding of a_j:
 # changing it changes a_j's low bits.
 SIEVE_BLOCK = 1 << 22
+
+# The primes below this are one table, _table().
+_TABLE_TOP = 1 << 16
 
 
 class CapacityError(RuntimeError):
@@ -44,43 +55,86 @@ def primes_upto(n: int) -> list[int]:
     return sieve_segment(2, n).tolist()
 
 
+@cache
+def _table() -> np.ndarray:
+    """The primes below _TABLE_TOP, read-only: the kernel's base grows from the
+    primes to 13 to those to 288, since 17^2 > 288 and 283^2 > 2^16."""
+    seed = np.array((2, 3, 5, 7, 11, 13), dtype=np.int64)
+    table = _strike(2, _TABLE_TOP - 1, _strike(2, 288, seed))
+    table.flags.writeable = False
+    return table
+
+
 def sieve_segment(a: int, b: int, base: np.ndarray | None = None) -> np.ndarray:
     """Primes in [a, b] as int64, striking multiples of ``base`` (all primes <= isqrt(b)).
 
-    ``base`` is ascending from 2 and may run past isqrt(b).  The mask holds
-    the odd numbers of [a, b] only, and 2 is added back when a <= 2.  Each
-    odd base prime p strikes from its first odd multiple at least
-    max(p*p, a), so base primes inside [a, b] survive: those below
-    _SCATTER_FROM one strided slice each, the rest all together, one
-    fancy-index assignment per round until each leaves the mask.
+    ``base`` is int64, ascending from 2, and may run past isqrt(b).  A b
+    below 2^16 is answered by a copy of a slice of the table of primes below
+    2^16, whatever the base, and the default base is a slice of it up to
+    b = 2^32 - 1, sieved by this function from there.
+
+    The mask is a (rows, 2) bool array: row i stands for 6(a // 6 + i) + 1
+    and 6(a // 6 + i) + 5, so flat index k is 3k + 6(a // 6) + 1 + (k & 1),
+    and 2 and 3 are added back when a <= 3.  A base prime p >= 5 strikes
+    each column from its first multiple at least max(p*p, a) in that
+    residue class, every p rows on, so base primes inside [a, b] survive:
+    those below _SCATTER_FROM one strided slice per column, the rest all
+    together, one fancy-index assignment over flat indices per round until
+    each leaves the mask.  Values outside [a, b] are cut from the ascending
+    result.
     """
     a = max(a, 2)
     if a > b:
         return np.empty(0, dtype=np.int64)
+    table = _table()
+    if b < _TABLE_TOP:
+        return table[np.searchsorted(table, a) : np.searchsorted(table, b, "right")].copy()
     if base is None:
-        base = sieve_segment(2, isqrt(b))
-    lo = 1 if a == 2 else a | 1  # mask[i] stands for lo + 2i, but mask[0] for 2 when a = 2
-    mask = np.ones((b - lo) // 2 + 1, dtype=bool)
-    root = isqrt(b)
-    if root >= _SCATTER_FROM:
-        split = np.searchsorted(base, _SCATTER_FROM)
-        big = base[split : np.searchsorted(base, root, "right")]
-        base = base[:split]
-        hit = ((-(-np.maximum(big * big, lo) // big) | 1) * big - lo) >> 1
-        while len(hit):
-            live = hit < len(mask)
-            hit, big = hit[live], big[live]
-            mask[hit] = False
-            hit += big
-    for p in base.tolist()[1:]:  # 2 strikes nothing odd
-        if p * p > b:
-            break
-        mask[((-(-max(p * p, lo) // p) | 1) * p - lo) >> 1 :: p] = False
-    out = np.flatnonzero(mask)
-    out *= 2
-    out += lo
-    if a == 2:
-        out[0] = 2
+        root = isqrt(b)
+        base = table if root < _TABLE_TOP else sieve_segment(2, root)
+    return _strike(a, b, base)
+
+
+def _strike(a: int, b: int, base: np.ndarray) -> np.ndarray:
+    """sieve_segment's kernel, for 2 <= a <= b, over the mask of 6k + 1 and 6k + 5."""
+    row0 = a // 6
+    # the mask first, so it takes the last block's mask's place in the heap,
+    # and every temporary freed before flatnonzero, whose result takes the
+    # last block's result's place
+    mask = np.ones((b // 6 - row0 + 1, 2), dtype=bool)
+    flat = mask.reshape(-1)
+    ps = base[2 : np.searchsorted(base, isqrt(b), "right")]
+    r = np.array([[1], [5]])
+    # p's multiples in the column of residue r are kp with k = rp + 6t: the
+    # first at least max(p*p, a) has t = ceil((k0 - rp) / 6), k0 the least k
+    # with kp >= max(p*p, a), and row tp + r(p*p - 1)/6 - row0
+    hit = (np.maximum(ps * ps, a) - 1) // ps + 6 - r * ps  # k0 + 5 - rp
+    hit //= 6
+    hit *= ps
+    hit += r * ((ps * ps - 1) // 6)
+    hit -= row0
+    hit *= 2
+    hit[1] += 1  # (2, len(ps)): each prime's first flat index per column
+    split = np.searchsorted(ps, _SCATTER_FROM)
+    for p, h1, h5 in zip(ps[:split], *hit[:, :split]):  # no list of them: a smaller peak
+        flat[h1 :: 2 * p] = False
+        flat[h5 :: 2 * p] = False
+    step = np.tile(2 * ps[split:], 2)
+    hit = hit[:, split:].reshape(-1)
+    while len(hit):
+        live = hit < len(flat)
+        hit, step = hit[live], step[live]
+        flat[hit] = False
+        hit += step
+    out = np.flatnonzero(flat)
+    del mask, flat
+    odd = np.remainder(out, 2, out=np.empty(len(out), np.uint8), casting="unsafe")  # k & 1
+    out *= 3
+    out += 6 * row0 + 1
+    out += odd
+    out = out[np.searchsorted(out, a) : np.searchsorted(out, b, "right")]
+    if a <= 3:
+        out = np.concatenate((np.array([q for q in (2, 3) if a <= q], dtype=np.int64), out))
     return out
 
 

@@ -37,9 +37,11 @@ def test_primes_in_window_consistency():
 
 
 def test_primes_in_small_blocks_equal_one_shot(monkeypatch):
-    one_shot = primes_in(2, 10_000)
+    # blocks of 97, not a multiple of 6, on both sides of the table's top
+    hi = 2**16 + 10_000
+    one_shot = primes_in(2, hi)
     monkeypatch.setattr(primal, "SIEVE_BLOCK", 97)
-    assert primes_in(2, 10_000) == one_shot
+    assert primes_in(2, hi) == one_shot
 
 
 def test_prime_blocks_count_to_1e8():
@@ -47,10 +49,13 @@ def test_prime_blocks_count_to_1e8():
     assert sum(len(b) for b in primal.prime_blocks(2, 10**8)) == 5_761_455
 
 
-# windows [a, a + width]: small ones, and ones near 1e9 whose base primes
-# reach past 2^14, where sieve_segment strikes by fancy indexing
+# windows [a, a + width]: small ones, answered from the table below 2^16;
+# ones across the table's top, where the mask's layout takes over; and ones
+# near 1e9 whose base primes reach past 2^14, where sieve_segment strikes by
+# fancy indexing
 windows = st.one_of(
     st.tuples(st.integers(-3, 5000), st.integers(-1, 300)),
+    st.tuples(st.integers(2**16 - 400, 2**16 + 100), st.integers(0, 600)),
     st.tuples(st.integers(10**9 - 10**5, 10**9 + 10**5), st.integers(0, 300)),
 )
 
@@ -59,10 +64,24 @@ windows = st.one_of(
 @given(windows)
 @example((0, 2))  # [0, 2] holds the one even prime alone
 @example((2, 0))
+@example((2, 1))  # 2 and 3
+@example((3, 0))
+@example((2, 2**16 - 2))  # 2 and 3 added back to a mask from 1 to 2^16
+@example((3, 2**16))
 @example((4, 0))  # an even a = b
 @example((9, 0))  # an odd a = b, a prime square
+@example((5, 20))  # b = 25, the first square the wheel must strike
+@example((5, 19))  # b = 24
 @example((5, 44))  # b = 7^2
 @example((5, 43))  # b = 7^2 - 1
+@example((10**9 - 4, 31))  # a = 0 (mod 6) and b = 1, then each residue one up
+@example((10**9 - 3, 31))
+@example((10**9 - 2, 31))
+@example((10**9 - 1, 31))
+@example((10**9, 31))
+@example((10**9 + 1, 31))
+@example((2**16 - 1, 1))  # a < 2^16 <= b
+@example((2**16 - 300, 600))
 @example((16411**2 - 200, 200))  # b = p^2 for the first prime past 2^14
 @example((16411**2 - 201, 200))  # b = p^2 - 1
 @example((31607**2 - 300, 300))  # 31607^2 is the last prime square below 1e9
@@ -76,6 +95,14 @@ def test_sieve_segment_matches_trial_division(window):
     # a base past isqrt(b), as prime_blocks passes to all but its last block
     base = np.array(primes_upto(isqrt(max(b, 0)) + 100), dtype=np.int64)
     assert sieve_segment(a, b, base).tolist() == expected
+
+
+def test_sieve_segment_block_holds_a_third_of_its_integers(traced_peak):
+    # the mask holds 6k + 1 and 6k + 5 only, 1.4 MB for a 2^22 block; the
+    # odd-number mask took 2.1 MB and peaked at 3.57 MB here
+    ps, peak_mb = traced_peak(lambda: sieve_segment(10**9, 10**9 + 2**22 - 1))
+    assert len(ps) == 202_182
+    assert peak_mb < 3.2
 
 
 @settings(max_examples=80, deadline=None)
