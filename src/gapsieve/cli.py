@@ -214,7 +214,7 @@ def cmd_attrition(args) -> int:
 
 def cmd_naive_error(args) -> int:
     targets = _targets(args)
-    cycles = [load_or_build_cycle(p) for p in primes_in(args.pmin, args.pmax)]
+    cycles = (load_or_build_cycle(p) for p in primes_in(args.pmin, args.pmax))
     rows = survival.error_report(cycles, targets)
     _write_csv(args.csv, [
         "naive estimate vs true prime gaps over [p_next, p_next^2]",

@@ -14,7 +14,7 @@ candidate (that prime's list index, from a least-factor sieve) fixes the
 pass that strikes it, and every pass's gap histogram follows from the keys.
 No strike reaches past the survivors on either side of it, so the cycle is
 walked in windows of one key block each, cut at the window's last
-survivor, and no whole-cycle array is held but the final values.
+survivor, and no whole-cycle array is held but the survivors' u16 gaps.
 """
 
 from __future__ import annotations
@@ -22,14 +22,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import cycle as cycle_mod
 from .census import Constellation, as_constellation, window_counts
 from .cycle import GapCycle
-from .primal import check_window, next_prime, prime_gap_slices, primes_in
+from .primal import CapacityError, check_window, next_prime, prime_gap_slices, primes_in
 
 
 def naive_estimate(cycle: GapCycle, target: Constellation | int) -> float:
@@ -71,9 +71,9 @@ class NaiveEstimateRow:
 
 
 def error_report(
-    cycles: Sequence[GapCycle], targets: Sequence[Constellation | int]
+    cycles: Iterable[GapCycle], targets: Sequence[Constellation | int]
 ) -> list[NaiveEstimateRow]:
-    """Estimate-vs-actual rows for each (stage cycle, target) pair."""
+    """Estimate-vs-actual rows for each (stage cycle, target) pair, one cycle held at a time."""
     rows: list[NaiveEstimateRow] = []
     for cycle in cycles:
         p_next = next_prime(cycle.prime)
@@ -86,6 +86,7 @@ def error_report(
                     cycle.prime, p_next, str(as_constellation(target)), est, act, rel
                 )
             )
+        del cycle  # before a generator builds the next stage
     return rows
 
 
@@ -103,15 +104,18 @@ class AttritionTrace:
     sieve_primes: list[int]
     initial_histogram: dict[int, int]
     steps: list[AttritionStep]
-    final_values: np.ndarray
+    final_gaps: np.ndarray  # u16, as a cycle's gaps
 
     @property
-    def final_gaps(self) -> np.ndarray:
-        return np.diff(self.final_values)
+    def final_values(self) -> np.ndarray:  # the survivors 1, ..., N+1 as int64
+        v = np.empty(len(self.final_gaps) + 1, dtype=np.int64)
+        v[0] = 1
+        v[1:] = self.final_gaps
+        return np.cumsum(v, out=v)
 
     @property
     def final_gap_count(self) -> int:
-        return len(self.final_values) - 1
+        return len(self.final_gaps)
 
     @property
     def max_surviving_gap(self) -> int:
@@ -152,20 +156,20 @@ def _accumulate(total: np.ndarray, part: np.ndarray) -> np.ndarray:
 KEY_BLOCK = 1 << 19
 
 
-def _strike_keys(vals: np.ndarray, sieve_primes: list[int], top: int) -> np.ndarray:
+def _strike_keys(vals: np.ndarray, a: int, sieve_primes: list[int], top: int) -> np.ndarray:
     """Each candidate's pass: the list index of the first listed prime dividing it other than itself.
 
-    1, top (N+1) and every survivor get len(sieve_primes).  Over one block
-    from the first value to the last, each prime writes its index on its
-    multiples from 2q up, the last listed first, so the first listed
-    divisor's index is the one left; the candidates then read their keys.
+    The candidates are a + vals, offsets from 0 up; 1, top (N+1) and every
+    survivor get len(sieve_primes).  Over one block from a to the last, each
+    prime writes its index on its multiples from 2q up, the last listed
+    first, so the first listed divisor's index is the one left.
     """
     passes = len(sieve_primes)
-    a, hi = int(vals[0]), int(vals[-1])
+    hi = a + int(vals[-1])
     block = np.full(hi + 1 - a, passes, dtype=np.uint16 if passes < 0xFFFF else np.uint32)
     for i, q in [(i, q) for i, q in enumerate(sieve_primes) if 2 * q <= hi][::-1]:
         block[max(2 * q, -(-a // q) * q) - a :: q] = i
-    keys = block[vals - a]
+    keys = block[vals]
     if hi == top:
         keys[-1] = passes
     return keys
@@ -216,26 +220,30 @@ def _pass_changes(vals: np.ndarray, keys: np.ndarray, passes: int, width: int) -
 
 
 def _window(
-    rows: np.ndarray, tail: np.ndarray, gaps: np.ndarray, sieve_primes: list[int], top: int
+    rows: np.ndarray, tail: np.ndarray, gaps: np.ndarray, a: int, sieve_primes: list[int], top: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The passes over the candidates ``tail`` and those ``gaps`` past it, up to the last survivor.
+    """The passes over the candidates a + ``tail`` and ``gaps`` past it, up to the last survivor.
 
-    Returns ``rows`` plus their pass rows (added here, so that no window's
-    rows outlive it), the survivors and their gap counts, and the candidates
-    from the last survivor on, which the next window takes as its ``tail``.
-    Every gap of every pass lies within one final gap, so the window's rows
-    are as wide as its widest final gap.
+    ``tail`` is int32 offsets from a, a survivor.  Returns ``rows`` plus the
+    window's rows (added here, so that none outlive it): its initial gap
+    counts in row 0 and each pass's change, the survivors' u16 gaps and their
+    counts, and the candidates from the last survivor on, as offsets from it:
+    the next window's ``tail``.  Every gap of every pass lies within one final
+    gap, so the rows are as wide as the widest final gap.
     """
     passes = len(sieve_primes)
-    vals = np.concatenate((tail, gaps), dtype=tail.dtype)
+    vals = np.concatenate((tail, gaps), dtype=np.int32)
     np.cumsum(vals[len(tail) - 1 :], out=vals[len(tail) - 1 :])
-    keys = _strike_keys(vals, sieve_primes, top)
+    keys = _strike_keys(vals, a, sieve_primes, top)
     alive = np.flatnonzero(keys == passes)
-    kept = vals[alive]
-    kept_counts = np.bincount(np.diff(kept))
+    kept = np.diff(vals[alive])
+    kept_counts = np.bincount(kept)
+    if len(kept_counts) > cycle_mod.GAP_LIMIT + 1:
+        raise CapacityError(f"surviving gap {len(kept_counts) - 1} exceeds u16 storage")
     last = int(alive[-1])
     changes = _pass_changes(vals[: last + 1], keys[: last + 1], passes, len(kept_counts))
-    return _accumulate(rows, changes), kept, kept_counts, vals[last:].copy()
+    changes[0] = np.bincount(np.diff(vals[: last + 1]), minlength=len(kept_counts))
+    return _accumulate(rows, changes), kept.astype(np.uint16), kept_counts, vals[last:] - vals[last]
 
 
 def attrition(
@@ -251,35 +259,27 @@ def attrition(
     The cycle is walked in windows of about KEY_BLOCK integers, each cut at
     its last survivor: every strike's neighbours lie between the survivors
     around it, so the passes over the window up to the cut are exact, and
-    the candidates from that survivor on carry into the next window.  The
-    candidates are int32 while N + 1 fits (every stage through 23), int64
-    past that; the final values are int64.
+    the candidates from that survivor on carry into the next window.  Each
+    window's candidates are int32 offsets from its first value; survivors
+    are kept as u16 gaps, as a cycle's are, up to GAP_LIMIT.
     """
-    n = cycle.modulus
-    pk = cycle.prime
-    if sieve_primes is None:
-        top = isqrt(n)
-        sieve_primes = (
-            [q for q in primes_in(pk + 1, top) if q * q < n] if top > pk else []
-        )
-    else:
-        sieve_primes = list(sieve_primes)
+    n, pk = cycle.modulus, cycle.prime
+    if sieve_primes is None:  # every q <= isqrt(N) has q^2 < N, N squarefree
+        sieve_primes = primes_in(pk + 1, isqrt(n)) if isqrt(n) > pk else []
+    sieve_primes = list(sieve_primes)
     passes = len(sieve_primes)
     cycle.least  # the passes conserve the gap total, so check it before the first
-    counts = np.zeros(1, dtype=np.int64)
-    for _, part in cycle_mod.cyclic_slices(cycle.gaps, cycle.gap_count):
-        counts = _accumulate(counts, np.bincount(part))
     size = max(cycle_mod.CHUNK_GAPS, KEY_BLOCK * cycle.gap_count // n)
-    tail = np.ones(1, dtype=np.int32 if n + 1 < 2**31 else np.int64)  # 1 is never struck
-    pieces = [tail]  # the survivors, window by window
+    tail, a = np.zeros(1, dtype=np.int32), 1  # 1 is never struck
+    pieces = []  # the survivors' gaps, window by window
     rows = np.zeros((passes + 1, 1), dtype=np.int64)
     final_counts = np.zeros(1, dtype=np.int64)
     for lo in range(0, cycle.gap_count, size):
         gaps = cycle.gaps[lo : lo + size]
-        rows, kept, kept_counts, tail = _window(rows, tail, gaps, sieve_primes, n + 1)
+        rows, kept, kept_counts, tail = _window(rows, tail, gaps, a, sieve_primes, n + 1)
         final_counts = _accumulate(final_counts, kept_counts)
-        pieces.append(kept[1:])
-    rows[0, : len(counts)] = counts
+        pieces.append(kept)
+        a += int(kept.sum())
     np.cumsum(rows, axis=0, out=rows)
     totals = rows @ np.arange(rows.shape[1])
     for q, total in zip(sieve_primes, totals[1:].tolist()):
@@ -290,8 +290,8 @@ def attrition(
     closures = -np.diff(rows.sum(axis=1))  # each closure joins two gaps into one
     steps = [AttritionStep(q, c, _histogram(row))
              for q, c, row in zip(sieve_primes, closures.tolist(), rows[1:])]
-    final_values = np.concatenate(pieces, dtype=np.int64)
-    return AttritionTrace(pk, n, sieve_primes, _histogram(counts), steps, final_values)
+    final_gaps = np.concatenate(pieces)
+    return AttritionTrace(pk, n, sieve_primes, _histogram(rows[0]), steps, final_gaps)
 
 
 def fold_confirmed_front(trace: AttritionTrace) -> np.ndarray:

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import time
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -703,6 +704,30 @@ def test_naive_error_cli(tmp_path, monkeypatch, capsys):
     est2 = lines[2].split(",")[3]
     est4 = lines[3].split(",")[3]
     assert est2 == est4
+
+
+@pytest.mark.parametrize("cached", [False, True], ids=["built", "cached"])
+def test_naive_error_holds_one_stage_at_a_time(tmp_path, monkeypatch, cached):
+    # each stage's cycle is let go before the next is built or read, so
+    # --pmax 29 does not hold 23# beside 29#
+    if cached:
+        monkeypatch.setenv("GAPSIEVE_CACHE_DIR", str(tmp_path / "cache"))
+    else:
+        monkeypatch.delenv("GAPSIEVE_CACHE_DIR", raising=False)
+    load, held = cli.load_or_build_cycle, []
+
+    def load_one(p):
+        assert all(ref() is None for ref in held), p
+        cycle = load(p)
+        held.append(weakref.ref(cycle))
+        return cycle
+
+    monkeypatch.setattr(cli, "load_or_build_cycle", load_one)
+    out = tmp_path / "err.csv"
+    assert main(["naive-error", "--pmin", "5", "--pmax", "13", "--gaps", "2", "4",
+                 "--csv", str(out)]) == 0
+    assert len(held) == 4
+    assert [r[0] for r in csv_rows(out)[1:]] == ["5", "5", "7", "7", "11", "11", "13", "13"]
 
 
 @pytest.mark.parametrize(

@@ -348,10 +348,10 @@ def _assert_matches_oracle(cycle, sieve_primes=None):
             trace = attrition(cycle, sieve_primes)
         assert trace.initial_histogram == initial
         assert trace.steps == steps, chunk
-        assert trace.final_values.dtype == final_values.dtype
-        assert np.array_equal(trace.final_values, final_values)
-        assert trace.final_gaps.dtype == final_gaps.dtype
+        assert trace.final_gaps.dtype == np.uint16
         assert np.array_equal(trace.final_gaps, final_gaps)
+        assert trace.final_values.dtype == np.int64
+        assert np.array_equal(trace.final_values, final_values)
 
 
 @pytest.fixture(scope="module")
@@ -412,9 +412,10 @@ def trial_division_keys(vals, sieve_primes):
 
 
 def window_keys(vals, sieve_primes, top, size):
-    """_strike_keys over windows of ``size`` positions, each from its own first value."""
-    return np.concatenate([survival._strike_keys(vals[lo : lo + size], sieve_primes, top)
-                           for lo in range(0, len(vals), size)])
+    """_strike_keys over windows of ``size`` positions, each as int32 offsets from its own first value."""
+    windows = (vals[lo : lo + size] for lo in range(0, len(vals), size))
+    return np.concatenate([_strike_keys((w - w[0]).astype(np.int32), int(w[0]), sieve_primes, top)
+                           for w in windows])
 
 
 @pytest.mark.parametrize("factors", [(3, 5, 7), (3, 5, 7, 11), (5, 7, 11), (3, 7, 13), (2, 3, 5, 7)])
@@ -443,20 +444,27 @@ def test_strike_keys_match_trial_division(factors, block):
         assert keys.tolist() == [0xFFFF if k == len(small) else k for k in expected]
 
 
-def test_strike_passes_agree_across_value_dtypes(g13):
+def test_strike_keys_on_offsets_from_past_2_40():
+    # int32 offsets from a first value far past int32: the keys are trial division's
+    a = 2**40 + 5  # 3 * 7 * 1109 * 47211629; 2^40 + 15 is prime
+    vals = np.arange(0, 3000, 2, dtype=np.int32)
+    sieve_primes = [7, 3, 11, 5, 13, 1109, 7, 47211629, 2**40 + 15]
+    keys = _strike_keys(vals, a, sieve_primes, a + 2998)
+    assert keys.tolist() == trial_division_keys(a + vals.astype(np.int64), sieve_primes)
+    # a by 7, the first listed of its factors; 2^40 + 9 by 5; 2^40 + 15 stays
+    assert keys[[0, 2, 5]].tolist() == [0, 3, len(sieve_primes)]
+
+
+def test_strike_pass_rows_count_the_closures(g13):
     primes = _primes_above(g13)
     width = attrition(g13).max_surviving_gap + 1
-    runs = []
-    for dtype in (np.int32, np.int64):
-        vals = g13.values(dtype)
-        keys = _strike_keys(vals, primes, g13.modulus + 1)
-        runs.append((keys, _pass_changes(vals, keys, len(primes), width)))
-    (keys32, rows32), (keys64, rows64) = runs
-    assert np.array_equal(keys32, keys64)
-    assert np.array_equal(rows32, rows64)
-    assert rows32.any()
+    vals = g13.values(np.int32) - 1  # offsets from 1
+    keys = _strike_keys(vals, 1, primes, g13.modulus + 1)
+    assert keys.tolist() == trial_division_keys(g13.values(), primes)
+    rows = _pass_changes(vals, keys, len(primes), width)
+    assert rows.any()
     # each pass's closures, its keys' count, take one gap each from the count
-    assert (-rows32.sum(axis=1)[1:]).tolist() == np.bincount(keys32)[: len(primes)].tolist()
+    assert (-rows.sum(axis=1)[1:]).tolist() == np.bincount(keys)[: len(primes)].tolist()
 
 
 def test_attrition_skips_a_prime_past_the_modulus(g7):
@@ -470,8 +478,9 @@ def test_attrition_skips_a_prime_past_the_modulus(g7):
 
 def _assert_windows_match(cycle, sieve_primes=None):
     """attrition in windows of 64 integers, with 7-gap slices, equals its one-window run."""
-    whole = attrition(cycle, sieve_primes)
-    assert cycle.modulus < survival.KEY_BLOCK  # one window
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(survival, "KEY_BLOCK", cycle.modulus + 1)  # one window
+        whole = attrition(cycle, sieve_primes)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(survival, "KEY_BLOCK", 64)
         mp.setattr(cycle_mod, "CHUNK_GAPS", 7)
@@ -501,9 +510,21 @@ def test_attrition_never_strikes_the_wrap_value(g13):
     _assert_windows_match(g13, [59])
 
 
+def test_attrition_refuses_a_surviving_gap_past_the_limit(g13, tmp_path, monkeypatch):
+    # the widest surviving gap of 13# is 52; its cycle's widest gap, 22, fits
+    path = tmp_path / "g13.gapc"
+    write_cache(str(path), g13)
+    monkeypatch.setattr(cycle_mod, "GAP_LIMIT", 40)
+    with pytest.raises(CapacityError, match="^surviving gap 52 exceeds u16 storage$"):
+        attrition(g13)
+    assert main(["attrition", "--cycle", str(path)]) == 2
+
+
 def test_attrition_stage19_in_bounded_memory(traced_peak):
-    # whole-cycle values, keys, final values and gaps peaked at 22.9 MB
+    # whole-cycle values, keys, final values and gaps peaked at 22.9 MB, and
+    # int32 survivors joined into int64 final values at 9.3 MB
     g19 = build_primorial_cycle(19)
     trace, peak_mb = traced_peak(lambda: attrition(g19))
     assert trace.final_gap_count == 646_022 and trace.max_surviving_gap == 154
-    assert peak_mb < 16
+    assert trace.final_gaps.dtype == np.uint16
+    assert peak_mb < 8
