@@ -7,7 +7,7 @@ closed-form asymptotic ratios, and model gap survival under continued
 sieving.
 """
 
-from .census import Constellation, PopulationVector, census_for
+from .census import Constellation, PopulationVector, census_all, census_for
 from .cycle import (
     CacheFormatError,
     GapCycle,

@@ -3,12 +3,13 @@
 One kernel, ``window_counts``, counts windows of consecutive gaps over a
 stream of slices, walked or table-driven by width.  Gaps are positive, so at
 most one window of a start sums to the target, and a k-gap window that hits
-all k boundaries is the target itself.  ``census_for`` feeds it a cycle's
-``cyclic_slices`` once ``GapCycle.least`` has checked the cycle, so windows
-wrap (more than once when the target sum exceeds the modulus); its counts by
-length are a PopulationVector, the state the model in dynsys steps, and a
-gap is a length-1 constellation.  Among the primes,
-``survival.actual_gap_count`` feeds it ``primal.prime_gap_slices``.
+all k boundaries is the target itself.  It reads each slice once for a
+list of targets.  ``census_all`` feeds it a cycle's ``cyclic_slices`` once
+``GapCycle.least`` has checked the cycle, so windows wrap (more than once
+when the target sum exceeds the modulus); each target's counts by length are
+a PopulationVector, the state the model in dynsys steps, and a gap is a
+length-1 constellation.  Among the primes, ``survival.actual_gap_counts``
+feeds it ``primal.prime_gap_slices``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -135,104 +136,136 @@ class PopulationVector:
         return PopulationVector.from_census(self, max_length)
 
 
-def window_counts(slices: Slices, target: Constellation, steps: int) -> np.ndarray:
-    """Counts by length (index 0 unused) of the windows of at most ``steps`` gaps hitting every boundary.
+def window_counts(
+    slices: Slices, targets: Sequence[Constellation], steps: Sequence[int]
+) -> list[np.ndarray]:
+    """Each target's counts by length (index 0 unused) of the windows that hit all its boundaries.
 
-    The boundaries are the target's prefix sums.  Each slice holds n starts
-    and, after them, at least ``steps`` gaps.  Up to WALK_STEPS steps each
-    slice is walked, at one pass per step until its least sum passes the
-    span; more steps use a position table, at a fixed dozen passes per
-    slice.  Stage 23, seconds walked / tabled: gap 30 0.16 / 0.60, gap 180
-    (90 steps) 0.61 / 0.64, gap 240 0.73 / 0.59, so the walk wins to about
-    90 steps.  A slice with fewer starts than steps is tabled either way:
-    a span-48 census over 7-start slices of a cycle whose least gap is 1
-    took 5.3 s walked and 0.20 s tabled.
+    A target's boundaries are its prefix sums, and its windows hold at most
+    its ``steps`` gaps.  Each slice holds n starts and, after them, at least
+    max(steps) gaps, and is read once for all targets.  A target of up to
+    WALK_STEPS steps is walked, at one pass per step until the slice's least
+    sum passes its span; more steps use a position table, at a fixed dozen
+    passes per slice.  Stage 23, seconds walked / tabled: gap 30 0.16 /
+    0.60, gap 180 (90 steps) 0.61 / 0.64, gap 240 0.73 / 0.59, so the walk
+    wins to about 90 steps.  A slice with fewer starts than a target's steps
+    is tabled for it either way: a span-48 census over 7-start slices of a
+    cycle whose least gap is 1 took 5.3 s walked and 0.20 s tabled.  The
+    tabled targets share each slice's table.
+
+    The walked targets share each step's running sums: step j adds each
+    start's j-th gap to its sum, in u16 unless that could wrap.  Sums rise
+    strictly, so a start counts at length j for a target when its sum is the
+    target's last boundary and it has hit each interior one, once.  A target
+    drops out once the least sum passes its span or j its steps, and the
+    walk of a slice ends when every target has.  Its buffers last from slice
+    to slice.
     """
-    counts = np.zeros(steps + 1, dtype=np.int64)
-    kernel = _walk_counts if steps <= WALK_STEPS else _table_counts
-    kernel(slices, list(accumulate(target.gaps)), counts)
+    counts = [np.zeros(s + 1, dtype=np.int64) for s in steps]
+    if not targets:
+        return counts
+    # a target's job is (last boundary, steps, interior boundaries, counts, row): a
+    # target with interior boundaries counts their hits in its own row of ``hits``
+    rows = list(accumulate((t.length > 1 for t in targets), initial=0))
+    jobs = [(t.span, s, list(accumulate(t.gaps))[:-1], c, row)
+            for t, s, c, row in zip(targets, steps, counts, rows)]
+    hit_type = np.min_scalar_type(max(t.length for t in targets) - 1)
+    sums32 = hits = eq_buf = all_buf = np.empty(0)
+    cut = None
+    for n, part in slices:
+        if min(n, WALK_STEPS) != cut:  # the split, made anew when a slice's length moves it
+            cut = min(n, WALK_STEPS)
+            walked = [job for job in jobs if job[1] <= cut]
+            tabled = [job for job in jobs if job[1] > cut]
+            if walked:
+                most = max(job[1] for job in walked)
+                widest = max(job[0] for job in walked)
+                first = (walked, min(job[0] for job in walked), min(job[1] for job in walked))
+        if tabled:
+            _table_counts(n, part, tabled)
+        if not walked:
+            continue
+        if n > len(sums32):
+            sums32 = np.empty(n, np.uint32)
+            # one row at least: with none, the stage-23 gap-30 walk ran 1-7% slower (2 vCPUs)
+            hits = np.empty((max(rows[-1], 1), n), hit_type)
+            eq_buf, all_buf = np.empty((2, n), bool)
+        narrow = max((most + 1) * int(part.max()), widest) <= 0xFFFF
+        sums = sums32.view(np.uint16)[:n] if narrow else sums32[:n]
+        eq, all_hit = eq_buf[:n], all_buf[:n]
+        sums[...] = 0
+        hits[:, :n] = 0
+        live, span, stop = first  # the least span and steps of the live targets
+        for j in range(1, most + 1):
+            np.add(sums, part[j - 1 : j - 1 + n], out=sums, casting="unsafe")
+            low = int(sums.min())
+            if low > span or j > stop:
+                live = [job for job in live if job[0] >= low and job[1] >= j]
+                if not live:
+                    break
+                span, stop = min(job[0] for job in live), min(job[1] for job in live)
+            for last, _, inner, c, row in live:
+                np.equal(sums, last, out=eq)
+                if inner:
+                    h = hits[row, :n]
+                    for b in inner:
+                        if b >= low:
+                            np.add(h, np.equal(sums, b, out=all_hit), out=h)
+                    eq &= np.equal(h, len(inner), out=all_hit)
+                c[j] += np.count_nonzero(eq)
     return counts
 
 
-def _walk_counts(slices: Slices, boundaries: list[int], counts: np.ndarray) -> None:
-    """Step j adds each start's j-th gap to its sum, in u16 unless that could wrap.
-
-    Sums rise strictly, so a start counts at length j when its sum is the
-    last boundary and it has hit each interior one, once.  A slice with
-    fewer starts than steps goes to the table; the walk keeps its buffers.
-    """
-    *inner, last = boundaries
-    steps = len(counts) - 1
-    sums32 = None
-    for n, part in slices:
-        if n < steps:
-            _table_counts([(n, part)], boundaries, counts)
-            continue
-        if sums32 is None or n > len(sums32):
-            sums32 = np.empty(n, dtype=np.uint32)
-            hits_buf = np.empty(n, dtype=np.min_scalar_type(len(inner)))
-            eq_buf, all_buf = np.empty((2, n), dtype=bool)
-        narrow = max((steps + 1) * int(part.max()), last) <= 0xFFFF
-        sums = sums32.view(np.uint16)[:n] if narrow else sums32[:n]
-        hits, eq, all_hit = hits_buf[:n], eq_buf[:n], all_buf[:n]
-        sums[...] = 0
-        hits[...] = 0
-        for j in range(1, steps + 1):
-            np.add(sums, part[j - 1 : j - 1 + n], out=sums, casting="unsafe")
-            low = int(sums.min())
-            if low > last:
-                break
-            for b in inner:
-                if b >= low:
-                    np.add(hits, np.equal(sums, b, out=eq), out=hits)
-            np.equal(sums, last, out=eq)
-            if inner:
-                eq &= np.equal(hits, len(inner), out=all_hit)
-            counts[j] += np.count_nonzero(eq)
-
-
-def _table_counts(slices: Slices, boundaries: list[int], counts: np.ndarray) -> None:
-    """Look each start's boundaries up in a per-slice position table.
+def _table_counts(n: int, part: np.ndarray, jobs: list[tuple]) -> None:
+    """Look each start's boundaries up in the slice's position table, for every target.
 
     Gaps are positive, so a slice's prefix sums are distinct, and a table
     ``pos`` over their range maps each to its index and all else to -1.
     Each boundary is then one gather per start: the interior ones AND into
     a hit mask, and the last gives the window's end index.  The table runs
-    the span past the slice's last value, so no lookup passes its end; a
-    window the slice ends inside is longer than the counts reach, and is
-    cut with the others.
+    the widest span past the slice's last value, so no lookup passes its
+    end; a window the slice ends inside is longer than the counts reach,
+    and is cut with the others.
     """
-    for n, part in slices:
-        values = np.empty(len(part) + 1, dtype=np.int64)
-        values[0] = 0
-        values[1:] = part
-        np.cumsum(values, out=values)
-        index = np.arange(len(values), dtype=np.int32)
-        pos = np.full(int(values[-1]) + boundaries[-1] + 1, -1, dtype=np.int32)
-        pos[values] = index
-        start = values[:n]
+    values = np.empty(len(part) + 1, dtype=np.int64)
+    values[0] = 0
+    values[1:] = part
+    np.cumsum(values, out=values)
+    index = np.arange(len(values), dtype=np.int32)
+    pos = np.full(int(values[-1]) + max(job[0] for job in jobs) + 1, -1, dtype=np.int32)
+    pos[values] = index
+    start = values[:n]
+    for last, _, inner, c, _ in jobs:
         # pos[b:][start] is pos[start + b]
-        last = pos[boundaries[-1] :][start]
-        hit = last >= 0
-        for b in boundaries[:-1]:
+        end = pos[last:][start]
+        hit = end >= 0
+        for b in inner:
             hit &= pos[b:][start] >= 0
         # a window holds at least one gap, so length 0 marks a miss
-        counts += np.bincount((last - index[:n]) * hit, minlength=len(counts))[: len(counts)]
+        c += np.bincount((end - index[:n]) * hit, minlength=len(c))[: len(c)]
+
+
+def census_all(cycle: GapCycle, targets: Sequence[Constellation | int]) -> list[PopulationVector]:
+    """Driving-term censuses of gaps and constellations, as the model's states, in one pass.
+
+    A window of j gaps is a driving term of s when its prefix sums pass
+    through g1, g1+g2, ..., |s| without overshooting any boundary; interior
+    closures then collapse it to s, and the j1-gap ones are s itself.  A gap
+    g is the constellation (g,).  Each target's entries run from j1 to its
+    longest driving term, or are (0,) when it has none.  Windows wrap, read
+    through ``cyclic_slices`` once for every target, and hold at most
+    |s| // ``cycle.least`` gaps.
+    """
+    ts = [as_constellation(t) for t in targets]
+    steps = [t.span // cycle.least for t in ts]
+    slices = cyclic_slices(cycle.gaps, cycle.gap_count, max(steps, default=0))
+    return [
+        PopulationVector(t.length, tuple(np.trim_zeros(c[t.length :], "b").tolist()) or (0,),
+                         phi_i(t.length + 1, cycle.factors))
+        for t, c in zip(ts, window_counts(slices, ts, steps))
+    ]
 
 
 def census_for(cycle: GapCycle, target: Constellation | int) -> PopulationVector:
-    """Driving-term census for a gap or a constellation, as the model's state.
-
-    A window of j gaps is a driving term when its prefix sums pass through
-    g1, g1+g2, ..., |s| without overshooting any boundary; interior closures
-    then collapse it to s, and the j1-gap ones are s itself.  A gap g is the
-    constellation (g,).  Entries run from j1 to the longest driving term
-    found, or are (0,) when none is.  Windows wrap, read through
-    ``cyclic_slices``, and hold at most |s| // ``cycle.least`` gaps.
-    """
-    t = as_constellation(target)
-    steps = t.span // cycle.least
-    slices = cyclic_slices(cycle.gaps, cycle.gap_count, steps)
-    counts = window_counts(slices, t, steps)[t.length :]
-    entries = tuple(np.trim_zeros(counts, "b").tolist()) or (0,)
-    return PopulationVector(t.length, entries, phi_i(t.length + 1, cycle.factors))
+    """The one target's ``census_all``."""
+    return census_all(cycle, [target])[0]

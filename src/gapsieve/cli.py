@@ -114,8 +114,7 @@ def cmd_census(args) -> int:
     cap = "" if args.max_len is None else f" max_len={args.max_len}"
     header = ("target", "j", "count", "normalized_ratio")
     table = [f"census modulus={cycle.modulus}{cap}", header if args.normalize else header[:3]]
-    for t in targets:
-        c = census_mod.census_for(cycle, t)
+    for t, c in zip(targets, census_mod.census_all(cycle, targets)):
         top = min(args.max_len or c.max_length, c.max_length)
         cols = [c.vector(top)]
         if args.normalize:
@@ -203,12 +202,12 @@ def cmd_attrition(args) -> int:
     )
     if args.csv:  # each stage's gap histogram, with each count's ratio to the gap 2's
         hists = [("initial", trace.initial_histogram), *((s.q, s.histogram) for s in trace.steps)]
-        _write_csv(args.csv, [
+        rows = ((q, g, n, f"{n / h[2]:.6f}" if h.get(2) else "")  # written as they are made
+                for q, h in hists for g, n in sorted(h.items()))
+        _write_csv(args.csv, chain([
             f"attrition of the stage-{trace.base_prime} cycle, modulus {trace.modulus}",
             ("prime", "gap", "count", "ratio_to_gap2"),
-            *((q, g, n, f"{n / h[2]:.6f}" if h.get(2) else "")
-              for q, h in hists for g, n in sorted(h.items())),
-        ])
+        ], rows))
     return 0
 
 
@@ -230,10 +229,11 @@ def _verdicts(checks: list[tuple[str, bool]]) -> list[str]:
 
 
 def _reproduce_table2() -> list[str]:
-    cycle = load_or_build_cycle(13)
+    gaps = refvalues.GAP_CENSUS_13
+    censuses = census_mod.census_all(load_or_build_cycle(13), list(gaps))
     lines = []
-    for g, expected in refvalues.GAP_CENSUS_13.items():
-        got = census_mod.census_for(cycle, g).vector()
+    for (g, expected), census in zip(gaps.items(), censuses):
+        got = census.vector()
         got = got + [0] * (len(expected) - len(got))
         ok = got == expected
         w = polignac.singular_ratio((0, g))
@@ -245,11 +245,18 @@ def _reproduce_table2() -> list[str]:
 
 def _reproduce_table5() -> list[str]:
     cases = refvalues.CONSTELLATION_CASES
-    cycles = {p0: load_or_build_cycle(p0) for p0 in sorted({case[4] for case in cases})}
+    targets = [Constellation.parse(case[0]) for case in cases]
+    stages = sorted({case[4] for case in cases})
+    # without a cache dir, every stage comes from one chain of merges
+    cycles = (map(load_or_build_cycle, stages) if os.environ.get(CACHE_ENV)
+              else (c for c in cycle_mod.primorial_cycles(stages[-1]) if c.prime in stages))
+    results = {}  # case index -> its census, one pass per stage
+    for cyc in cycles:
+        at = [i for i, case in enumerate(cases) if case[4] == cyc.prime]
+        results.update(zip(at, census_mod.census_all(cyc, [targets[i] for i in at])))
     lines = []
-    for text, span, j1, top, p0, counts, w_inf in cases:
-        s = Constellation.parse(text)
-        result = census_mod.census_for(cycles[p0], s)
+    for i, (text, span, j1, top, p0, counts, w_inf) in enumerate(cases):
+        s, result = targets[i], results[i]
         got = result.vector()
         w = dynsys.asymptotic_ratio(result)
         ok = (

@@ -29,6 +29,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass, field
+from itertools import accumulate, islice
 from typing import IO, Iterable, Iterator
 
 import numpy as np
@@ -317,10 +318,20 @@ def stage_gap_count(p: int) -> int:
     return phi_i(1, tuple(primes_upto(p)))
 
 
+def primorial_cycles(p: int) -> Iterator[GapCycle]:
+    """The cycles of the stages 2, 3, 5, ..., p, each merged from the one before.
+
+    A stage that cannot be built is refused before the first is yielded.
+    """
+    stage_gap_count(p)
+    return islice(accumulate(primes_upto(p), extend_cycle, initial=_UNIT_CYCLE), 1, None)
+
+
 def build_primorial_cycle(p: int) -> GapCycle:
-    """The cycle of gaps at sieve stage p, built one stage prime at a time."""
-    stage_gap_count(p)  # refuses a stage that cannot be built
-    return cycle_for_factors(primes_upto(p))
+    """The cycle of gaps at sieve stage p, the last of ``primorial_cycles(p)``."""
+    for cycle in primorial_cycles(p):
+        pass
+    return cycle
 
 
 def cycle_for_factors(factors: Iterable[int]) -> GapCycle:

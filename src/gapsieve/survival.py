@@ -32,32 +32,46 @@ from .cycle import GapCycle
 from .primal import CapacityError, check_window, next_prime, prime_gap_slices, primes_in
 
 
-def naive_estimate(cycle: GapCycle, target: Constellation | int) -> float:
-    """Uniform-density estimate of the target's count in [P, P^2], P the next stage.
+def naive_estimates(cycle: GapCycle, targets: Sequence[Constellation | int]) -> list[float]:
+    """Uniform-density estimates of the targets' counts in [P, P^2], P the next stage.
 
-    (P^2 - P) / N times the target's population in the cycle, computed as an
+    (P^2 - P) / N times a target's population in the cycle, computed as an
     exact rational and returned as a float.  The population is the census
-    kernel's k-gap entry, walked k steps, as ``actual_gap_count`` reads it.
+    kernel's k-gap entry, walked k steps, as ``actual_gap_counts`` reads it;
+    one pass over the cycle serves every target.
     """
-    t = as_constellation(target)
+    ts = [as_constellation(t) for t in targets]
     cycle.least  # the check every census of the cycle makes first
-    slices = cycle_mod.cyclic_slices(cycle.gaps, cycle.gap_count, t.length)
-    n = int(window_counts(slices, t, t.length)[t.length])
+    lengths = [t.length for t in ts]
+    slices = cycle_mod.cyclic_slices(cycle.gaps, cycle.gap_count, max(lengths, default=0))
     p_next = next_prime(cycle.prime)
-    return float(Fraction(p_next * p_next - p_next, cycle.modulus) * n)
+    scale = Fraction(p_next * p_next - p_next, cycle.modulus)
+    return [float(scale * int(c[k])) for k, c in zip(lengths, window_counts(slices, ts, lengths))]
 
 
-def actual_gap_count(a: int, b: int, target: Constellation | int) -> int:
-    """Occurrences of the target among consecutive prime gaps inside [a, b].
+def naive_estimate(cycle: GapCycle, target: Constellation | int) -> float:
+    """The one target's ``naive_estimates``."""
+    return naive_estimates(cycle, [target])[0]
+
+
+def actual_gap_counts(a: int, b: int, targets: Sequence[Constellation | int]) -> list[int]:
+    """Occurrences of each target among consecutive prime gaps inside [a, b].
 
     The whole constellation must lie inside the interval: its first and last
     primes are both in [a, b].  The interval is checked as primes_in checks it.
-    The count is the census kernel's k-gap entry over ``prime_gap_slices``,
-    walked k steps, one block of primes at a time.
+    A count is the census kernel's k-gap entry, walked k steps, over one
+    ``prime_gap_slices`` pass for every target, one block of primes at a time.
     """
-    t = as_constellation(target)
+    ts = [as_constellation(t) for t in targets]
     check_window(a, b)
-    return int(window_counts(prime_gap_slices(a, b, t.span), t, t.length)[t.length])
+    lengths = [t.length for t in ts]
+    slices = prime_gap_slices(a, b, max((t.span for t in ts), default=0))
+    return [int(c[k]) for k, c in zip(lengths, window_counts(slices, ts, lengths))]
+
+
+def actual_gap_count(a: int, b: int, target: Constellation | int) -> int:
+    """The one target's ``actual_gap_counts``."""
+    return actual_gap_counts(a, b, [target])[0]
 
 
 @dataclass
@@ -73,13 +87,17 @@ class NaiveEstimateRow:
 def error_report(
     cycles: Iterable[GapCycle], targets: Sequence[Constellation | int]
 ) -> list[NaiveEstimateRow]:
-    """Estimate-vs-actual rows for each (stage cycle, target) pair, one cycle held at a time."""
+    """Estimate-vs-actual rows for each (stage cycle, target) pair, one cycle held at a time.
+
+    Each stage takes one census pass over its cycle and one pass over the
+    primes for all the targets.
+    """
     rows: list[NaiveEstimateRow] = []
     for cycle in cycles:
         p_next = next_prime(cycle.prime)
-        for target in targets:
-            est = naive_estimate(cycle, target)
-            act = actual_gap_count(p_next, p_next * p_next, target)
+        ests = naive_estimates(cycle, targets)
+        acts = actual_gap_counts(p_next, p_next * p_next, targets)
+        for target, est, act in zip(targets, ests, acts):
             rel = (est - act) / act if act else None
             rows.append(
                 NaiveEstimateRow(
@@ -131,10 +149,12 @@ class AttritionTrace:
         return None
 
 
-def _histogram(counts: np.ndarray) -> dict[int, int]:
-    """Gap size -> count for the nonzero entries of a bincount array."""
-    sizes = np.flatnonzero(counts)
-    return dict(zip(sizes.tolist(), counts[sizes].tolist()))
+def _histograms(rows: np.ndarray) -> list[dict[int, int]]:
+    """Gap size -> count for the nonzero entries of each row of bincount rows, from one nonzero."""
+    r, g = np.nonzero(rows)
+    sizes, counts = g.tolist(), rows[r, g].tolist()
+    ends = np.searchsorted(r, np.arange(len(rows) + 1)).tolist()
+    return [dict(zip(sizes[lo:hi], counts[lo:hi])) for lo, hi in zip(ends, ends[1:])]
 
 
 def _accumulate(total: np.ndarray, part: np.ndarray) -> np.ndarray:
@@ -287,11 +307,12 @@ def attrition(
             raise AssertionError(f"gap total broke conservation at q={q}")
     if not np.array_equal(final_counts, rows[-1]):
         raise AssertionError("surviving gaps disagree with the tracked histogram")
-    closures = -np.diff(rows.sum(axis=1))  # each closure joins two gaps into one
-    steps = [AttritionStep(q, c, _histogram(row))
-             for q, c, row in zip(sieve_primes, closures.tolist(), rows[1:])]
     final_gaps = np.concatenate(pieces)
-    return AttritionTrace(pk, n, sieve_primes, _histogram(rows[0]), steps, final_gaps)
+    del pieces  # the histograms' dicts can take their place
+    closures = -np.diff(rows.sum(axis=1))  # each closure joins two gaps into one
+    initial, *hists = _histograms(rows)
+    steps = [AttritionStep(q, c, h) for q, c, h in zip(sieve_primes, closures.tolist(), hists)]
+    return AttritionTrace(pk, n, sieve_primes, initial, steps, final_gaps)
 
 
 def fold_confirmed_front(trace: AttritionTrace) -> np.ndarray:

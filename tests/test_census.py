@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from gapsieve import census as census_mod
 from gapsieve import cycle as cycle_mod
-from gapsieve.census import Constellation, census_for, parse_gap
+from gapsieve.census import Constellation, census_all, census_for, parse_gap
 from gapsieve.cycle import (
     build_primorial_cycle,
     cycle_for_factors,
@@ -241,20 +241,45 @@ def test_walk_sums_past_u16(kernel, name):
     gaps[100:112] = [7536] + [8000] * 11
     array = np.array(gaps, np.uint16)
 
-    def census(s, steps):
-        slices = cycle_mod.cyclic_slices(array, len(array), steps)
-        return np.trim_zeros(census_mod.window_counts(slices, s, steps)[s.length :], "b").tolist()
+    def census(ts):
+        steps = [s.span // 2000 for s in ts]
+        slices = cycle_mod.cyclic_slices(array, len(array), max(steps))
+        counts = census_mod.window_counts(slices, ts, steps)
+        return [np.trim_zeros(c[s.length :], "b").tolist() for s, c in zip(ts, counts)]
 
-    for s in (Constellation((30_000,)), Constellation((10_000, 20_000)),
-              Constellation((66_000,)), Constellation((30_000, 36_000))):
-        steps = s.span // 2000
-        assert steps <= census_mod.WALK_STEPS
-        expected = dense(brute_force_census(gaps, s), s.length)
-        assert sum(expected) > 0, s
-        with kernel(name):
-            assert census(s, steps) == expected, s
-            with small_slices():
-                assert census(s, steps) == expected, s
+    targets = [Constellation((30_000,)), Constellation((10_000, 20_000)),
+               Constellation((66_000,)), Constellation((30_000, 36_000))]
+    expected = [dense(brute_force_census(gaps, s), s.length) for s in targets]
+    assert all(s.span // 2000 <= census_mod.WALK_STEPS for s in targets)
+    assert all(sum(e) > 0 for e in expected)
+    with kernel(name):
+        for s, e in zip(targets, expected):
+            assert census([s]) == [e], s
+        assert census(targets) == expected
+        with small_slices():
+            assert census(targets) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    squarefree_factors(),
+    st.lists(st.lists(st.integers(1, 40).map(lambda h: 2 * h), min_size=1, max_size=4),
+             min_size=1, max_size=6),
+    st.integers(0, 80),
+)
+@example((2, 3, 5, 7, 11), [[2], [150], [2, 10, 2], [180], [30]], 64)  # walked and tabled
+@example((3, 5), [[2, 2, 2], [80], [2]], 5)  # least gap 1: steps past the span
+def test_census_all_matches_census_for(factors, targets, walk_steps):
+    # one pass for every target, each walked or tabled by its own steps,
+    # counts what a pass per target counts; a gap is passed as an int
+    cyc = _cycle(factors)
+    ts = [t[0] if len(t) == 1 else Constellation(tuple(t)) for t in targets]
+    expected = [census_for(cyc, t) for t in ts]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(census_mod, "WALK_STEPS", walk_steps)
+        assert census_all(cyc, ts) == expected
+        with small_slices():
+            assert census_all(cyc, ts) == expected
 
 
 @settings(max_examples=40, deadline=None)

@@ -311,6 +311,18 @@ def test_census_mixed_targets_in_command_line_order(cycle13, capsys):
     )
 
 
+def test_census_of_many_targets_prints_each_single_target_run(cycle13, capsys):
+    # gap 150 (75 steps) is tabled, the rest walked, all in one pass
+    targets = [["--gap", "2"], ["--gap", "30"], ["--constellation", "2,10,2"],
+               ["--gap", "150"], ["--constellation", "12,12"], ["--gap", "32"]]
+    singles = []
+    for t in targets:
+        assert main(["census", "--cycle", cycle13, *t]) == 0
+        singles.append(capsys.readouterr().out)
+    assert main(["census", "--cycle", cycle13, *(a for t in targets for a in t)]) == 0
+    assert capsys.readouterr().out == "".join(singles)
+
+
 def test_census_normalize_is_the_population_vector_ratio(cycle13, tmp_path):
     out = tmp_path / "c.csv"
     assert main(["census", "--cycle", cycle13, "--constellation", "2,10,2,10,2", "--gap", "30",
@@ -816,18 +828,19 @@ def test_reproduce_targets_pass(capsys, monkeypatch, tmp_path, target):
 
 
 def test_reproduce_table5_builds_each_stage_once(monkeypatch, capsys):
-    build = cycle_mod.build_primorial_cycle
-    stages = []
+    # stages 5, 7, 11 and 13 come from one chain of merges: 2, 3, 5, 7, 11, 13
+    extend = cycle_mod.extend_cycle
+    merged = []
 
-    def recorded_build(p):
-        stages.append(p)
-        return build(p)
+    def recorded_extend(cycle, q):
+        merged.append(q)
+        return extend(cycle, q)
 
     monkeypatch.delenv("GAPSIEVE_CACHE_DIR", raising=False)
-    monkeypatch.setattr(cycle_mod, "build_primorial_cycle", recorded_build)
+    monkeypatch.setattr(cycle_mod, "extend_cycle", recorded_extend)
     assert main(["reproduce", "table5"]) == 0
     assert "FAIL" not in capsys.readouterr().out
-    assert stages == [5, 7, 11, 13]
+    assert merged == [2, 3, 5, 7, 11, 13]
 
 
 def test_reproduce_table3_requires_long(capsys):

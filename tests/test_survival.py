@@ -241,6 +241,26 @@ def test_error_report_rows_and_csv(g13, tmp_path, monkeypatch):
     assert len(lines) == 4
 
 
+def test_error_report_takes_one_pass_per_stage(g11, g13, monkeypatch):
+    # each stage censuses all its targets in one cycle pass and counts them in
+    # one pass over the primes; the rows are the one-target counts
+    targets = [2, 4, Constellation((2, 4)), 30]
+    expected = [(p, t, naive_estimate(c, t), actual_gap_count(q, q * q, t))
+                for c, p, q in ((g11, 11, 13), (g13, 13, 17)) for t in targets]
+    passes = []
+    kernel = survival.window_counts
+
+    def counted(slices, ts, steps):
+        passes.append(len(ts))
+        return kernel(slices, ts, steps)
+
+    monkeypatch.setattr(survival, "window_counts", counted)
+    rows = error_report([g11, g13], targets)
+    assert passes == [4, 4, 4, 4]
+    assert [(r.p_k, r.target, r.estimate, r.actual) for r in rows] == [
+        (p, str(survival.as_constellation(t)), est, act) for p, t, est, act in expected]
+
+
 def test_error_report_empty_targets(g13, tmp_path, monkeypatch):
     assert error_report([g13], []) == []
     # the command refuses an empty target list; an empty stage range gives the empty report
