@@ -170,7 +170,7 @@ def window_counts(
     jobs = [(t.span, s, list(accumulate(t.gaps))[:-1], c, row)
             for t, s, c, row in zip(targets, steps, counts, rows)]
     hit_type = np.min_scalar_type(max(t.length for t in targets) - 1)
-    sums32 = hits = eq_buf = all_buf = np.empty(0)
+    sums32 = eq_buf = all_buf = np.empty(0)
     cut = None
     for n, part in slices:
         if min(n, WALK_STEPS) != cut:  # the split, made anew when a slice's length moves it
@@ -187,8 +187,7 @@ def window_counts(
             continue
         if n > len(sums32):
             sums32 = np.empty(n, np.uint32)
-            # one row at least: with none, the stage-23 gap-30 walk ran 1-7% slower (2 vCPUs)
-            hits = np.empty((max(rows[-1], 1), n), hit_type)
+            hits = np.empty((rows[-1], n), hit_type)
             eq_buf, all_buf = np.empty((2, n), bool)
         narrow = max((most + 1) * int(part.max()), widest) <= 0xFFFF
         sums = sums32.view(np.uint16)[:n] if narrow else sums32[:n]

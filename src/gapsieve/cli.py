@@ -13,7 +13,7 @@ import os
 import sys
 from itertools import accumulate, chain
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from . import census as census_mod
 from . import cycle as cycle_mod
@@ -38,6 +38,16 @@ def load_or_build_cycle(p: int) -> cycle_mod.GapCycle:
         return cycle
     path.parent.mkdir(parents=True, exist_ok=True)
     return cycle_mod.build_primorial_cycle_streaming(p, str(path))
+
+
+def load_or_build_cycles(stages: list[int]) -> Iterator[cycle_mod.GapCycle]:
+    """The ascending stages' cycles, one at a time, from one chain of merges.
+
+    With a cache dir set, each is read or streamed as load_or_build_cycle does.
+    """
+    if os.environ.get(CACHE_ENV):
+        return map(load_or_build_cycle, stages)
+    return (c for c in cycle_mod.primorial_cycles(stages[-1]) if c.prime in stages)
 
 
 def _write_csv(path: str | None, lines: Iterable[str | tuple]) -> None:
@@ -247,11 +257,8 @@ def _reproduce_table5() -> list[str]:
     cases = refvalues.CONSTELLATION_CASES
     targets = [Constellation.parse(case[0]) for case in cases]
     stages = sorted({case[4] for case in cases})
-    # without a cache dir, every stage comes from one chain of merges
-    cycles = (map(load_or_build_cycle, stages) if os.environ.get(CACHE_ENV)
-              else (c for c in cycle_mod.primorial_cycles(stages[-1]) if c.prime in stages))
     results = {}  # case index -> its census, one pass per stage
-    for cyc in cycles:
+    for cyc in load_or_build_cycles(stages):
         at = [i for i, case in enumerate(cases) if case[4] == cyc.prime]
         results.update(zip(at, census_mod.census_all(cyc, [targets[i] for i in at])))
     lines = []

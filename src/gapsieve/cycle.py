@@ -28,6 +28,7 @@ import functools
 import math
 import os
 import struct
+from collections import deque
 from dataclasses import dataclass, field
 from itertools import accumulate, islice
 from typing import IO, Iterable, Iterator
@@ -324,14 +325,13 @@ def primorial_cycles(p: int) -> Iterator[GapCycle]:
     A stage that cannot be built is refused before the first is yielded.
     """
     stage_gap_count(p)
-    return islice(accumulate(primes_upto(p), extend_cycle, initial=_UNIT_CYCLE), 1, None)
+    return _merge_chain(primes_upto(p))
 
 
 def build_primorial_cycle(p: int) -> GapCycle:
-    """The cycle of gaps at sieve stage p, the last of ``primorial_cycles(p)``."""
-    for cycle in primorial_cycles(p):
-        pass
-    return cycle
+    """The cycle of gaps at sieve stage p, built one stage prime at a time."""
+    stage_gap_count(p)  # refuses a stage that cannot be built
+    return cycle_for_factors(primes_upto(p))
 
 
 def cycle_for_factors(factors: Iterable[int]) -> GapCycle:
@@ -339,10 +339,12 @@ def cycle_for_factors(factors: Iterable[int]) -> GapCycle:
     fs = sorted(factors)
     if not fs:
         raise ValueError("need at least one prime factor")
-    cycle = _UNIT_CYCLE
-    for q in fs:
-        cycle = extend_cycle(cycle, q)
-    return cycle
+    return deque(_merge_chain(fs), maxlen=1).pop()
+
+
+def _merge_chain(factors: list[int]) -> Iterator[GapCycle]:
+    """The cycles for the products of the first 1, 2, ... factors, each merged from the one before."""
+    return islice(accumulate(factors, extend_cycle, initial=_UNIT_CYCLE), 1, None)
 
 
 def build_primorial_cycle_streaming(p: int, out_path: str) -> GapCycle:

@@ -150,11 +150,15 @@ class AttritionTrace:
 
 
 def _histograms(rows: np.ndarray) -> list[dict[int, int]]:
-    """Gap size -> count for the nonzero entries of each row of bincount rows, from one nonzero."""
+    """Gap size -> count for the nonzero entries of each row of bincount rows, from one nonzero.
+
+    Each row converts only its own slice to Python ints: lists of every
+    count at once stayed in the heap under stage 23's peak, 2.5 MB higher.
+    """
     r, g = np.nonzero(rows)
-    sizes, counts = g.tolist(), rows[r, g].tolist()
     ends = np.searchsorted(r, np.arange(len(rows) + 1)).tolist()
-    return [dict(zip(sizes[lo:hi], counts[lo:hi])) for lo, hi in zip(ends, ends[1:])]
+    return [dict(zip(g[lo:hi].tolist(), row[g[lo:hi]].tolist()))
+            for row, lo, hi in zip(rows, ends, ends[1:])]
 
 
 def _accumulate(total: np.ndarray, part: np.ndarray) -> np.ndarray:
@@ -307,11 +311,10 @@ def attrition(
             raise AssertionError(f"gap total broke conservation at q={q}")
     if not np.array_equal(final_counts, rows[-1]):
         raise AssertionError("surviving gaps disagree with the tracked histogram")
-    final_gaps = np.concatenate(pieces)
-    del pieces  # the histograms' dicts can take their place
     closures = -np.diff(rows.sum(axis=1))  # each closure joins two gaps into one
     initial, *hists = _histograms(rows)
     steps = [AttritionStep(q, c, h) for q, c, h in zip(sieve_primes, closures.tolist(), hists)]
+    final_gaps = np.concatenate(pieces)
     return AttritionTrace(pk, n, sieve_primes, initial, steps, final_gaps)
 
 

@@ -257,6 +257,8 @@ def test_walk_sums_past_u16(kernel, name):
             assert census([s]) == [e], s
         assert census(targets) == expected
         with small_slices():
+            for s, e in zip(targets, expected):
+                assert census([s]) == [e], s
             assert census(targets) == expected
 
 
