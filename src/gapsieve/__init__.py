@@ -38,11 +38,9 @@ from .primal import (
 )
 from .survival import (
     AttritionTrace,
-    actual_gap_count,
     attrition,
     error_report,
     fold_confirmed_front,
-    naive_estimate,
 )
 
 __version__ = "0.1.0"

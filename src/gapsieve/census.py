@@ -130,11 +130,6 @@ class PopulationVector:
         """The census itself, or a copy cut or padded to lengths j1..top."""
         return census if top is None else cls(census.j1, tuple(census.vector(top)), census.ref)
 
-    def padded(self, max_length: int) -> "PopulationVector":
-        if max_length < self.max_length:
-            raise ValueError("cannot shrink a population vector")
-        return PopulationVector.from_census(self, max_length)
-
 
 def window_counts(
     slices: Slices, targets: Sequence[Constellation], steps: Sequence[int]

@@ -25,29 +25,28 @@ CACHE_ENV = "GAPSIEVE_CACHE_DIR"
 PRINT_LIMIT = 100_000  # refuse to dump larger cycles to stdout
 
 
-def load_or_build_cycle(p: int) -> cycle_mod.GapCycle:
-    """The stage-p cycle, read from or streamed into the cache dir if one is set."""
+def load_or_build_cycles(stages: list[int]) -> Iterator[cycle_mod.GapCycle]:
+    """The ascending stages' cycles, one held at a time, from one chain of merges.
+
+    With a cache dir set, each is read from it instead, or streamed into it when missing.
+    """
     d = os.environ.get(CACHE_ENV)
     if not d:
-        return cycle_mod.build_primorial_cycle(p)
-    path = Path(d) / f"g{p}.gapc"
-    if path.exists():
-        cycle = cycle_mod.read_cache(str(path), mmap=True)
-        if list(cycle.factors) != primes_upto(p):
-            raise cycle_mod.CacheFormatError(f"{path} holds modulus {cycle.modulus}, not stage {p}")
-        return cycle
-    path.parent.mkdir(parents=True, exist_ok=True)
-    return cycle_mod.build_primorial_cycle_streaming(p, str(path))
-
-
-def load_or_build_cycles(stages: list[int]) -> Iterator[cycle_mod.GapCycle]:
-    """The ascending stages' cycles, one at a time, from one chain of merges.
-
-    With a cache dir set, each is read or streamed as load_or_build_cycle does.
-    """
-    if os.environ.get(CACHE_ENV):
-        return map(load_or_build_cycle, stages)
-    return (c for c in cycle_mod.primorial_cycles(stages[-1]) if c.prime in stages)
+        if stages:
+            yield from (c for c in cycle_mod.primorial_cycles(stages[-1]) if c.prime in stages)
+        return
+    for p in stages:
+        path = Path(d) / f"g{p}.gapc"
+        if path.exists():
+            cycle = cycle_mod.read_cache(str(path), mmap=True)
+            if list(cycle.factors) != primes_upto(p):
+                raise cycle_mod.CacheFormatError(
+                    f"{path} holds modulus {cycle.modulus}, not stage {p}")
+        else:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            cycle = cycle_mod.build_primorial_cycle_streaming(p, str(path))
+        yield cycle
+        del cycle  # before the next stage is read or built
 
 
 def _write_csv(path: str | None, lines: Iterable[str | tuple]) -> None:
@@ -223,7 +222,7 @@ def cmd_attrition(args) -> int:
 
 def cmd_naive_error(args) -> int:
     targets = _targets(args)
-    cycles = (load_or_build_cycle(p) for p in primes_in(args.pmin, args.pmax))
+    cycles = load_or_build_cycles(primes_in(args.pmin, args.pmax))
     rows = survival.error_report(cycles, targets)
     _write_csv(args.csv, [
         "naive estimate vs true prime gaps over [p_next, p_next^2]",
@@ -240,7 +239,8 @@ def _verdicts(checks: list[tuple[str, bool]]) -> list[str]:
 
 def _reproduce_table2() -> list[str]:
     gaps = refvalues.GAP_CENSUS_13
-    censuses = census_mod.census_all(load_or_build_cycle(13), list(gaps))
+    (cycle,) = load_or_build_cycles([13])
+    censuses = census_mod.census_all(cycle, list(gaps))
     lines = []
     for (g, expected), census in zip(gaps.items(), censuses):
         got = census.vector()
@@ -278,7 +278,7 @@ def _reproduce_table5() -> list[str]:
 
 
 def _reproduce_fig5() -> list[str]:
-    cycle = load_or_build_cycle(13)
+    (cycle,) = load_or_build_cycles([13])
     trace = survival.attrition(cycle)
     figure_primes = [q for q in trace.sieve_primes if q != refvalues.ATTRITION_13_OMITTED_PRIME]
     figure_trace = survival.attrition(cycle, sieve_primes=figure_primes)
@@ -303,7 +303,7 @@ def _reproduce_fig5() -> list[str]:
 
 
 def _reproduce_g7() -> list[str]:
-    cycle = load_or_build_cycle(7)
+    (cycle,) = load_or_build_cycles([7])
     trace = survival.attrition(cycle)
     folded = survival.fold_confirmed_front(trace).astype(int).tolist()
     return _verdicts([
@@ -322,9 +322,10 @@ def _reproduce_table3() -> list[str]:
         ok = abs(got - expected) <= 1e-11
         lines.append(f"a_{j}: {got:.14f} vs {expected:.14f} {'PASS' if ok else 'FAIL'}")
     # late-stage ratios of the gaps 6 and 30 implied by these products
-    cycle = load_or_build_cycle(13)
+    (cycle,) = load_or_build_cycles([13])
     for g, expected_w in ((6, 1.912), (30, 1.579)):
-        coeffs = dynsys.polynomial_approx(_model_vector(cycle, g).padded(9))
+        v = census_mod.PopulationVector.from_census(_model_vector(cycle, g), 9)
+        coeffs = dynsys.polynomial_approx(v)
         w = float(coeffs[0]) + sum(
             (-1) ** m * float(coeffs[m]) * products[m + 1] for m in range(1, len(coeffs))
         )

@@ -235,8 +235,8 @@ def crossover(va: PopulationVector, vb: PopulationVector) -> float | None:
     if va.j1 != vb.j1:
         raise ValueError("crossover needs a common base length")
     top = max(va.max_length, vb.max_length)
-    ca = polynomial_approx(va.padded(top))
-    cb = polynomial_approx(vb.padded(top))
+    ca = polynomial_approx(PopulationVector.from_census(va, top))
+    cb = polynomial_approx(PopulationVector.from_census(vb, top))
     diff = tuple(x - y for x, y in zip(ca, cb))
     if all(c == 0 for c in diff):
         return None

@@ -49,11 +49,6 @@ def naive_estimates(cycle: GapCycle, targets: Sequence[Constellation | int]) -> 
     return [float(scale * int(c[k])) for k, c in zip(lengths, window_counts(slices, ts, lengths))]
 
 
-def naive_estimate(cycle: GapCycle, target: Constellation | int) -> float:
-    """The one target's ``naive_estimates``."""
-    return naive_estimates(cycle, [target])[0]
-
-
 def actual_gap_counts(a: int, b: int, targets: Sequence[Constellation | int]) -> list[int]:
     """Occurrences of each target among consecutive prime gaps inside [a, b].
 
@@ -67,11 +62,6 @@ def actual_gap_counts(a: int, b: int, targets: Sequence[Constellation | int]) ->
     lengths = [t.length for t in ts]
     slices = prime_gap_slices(a, b, max((t.span for t in ts), default=0))
     return [int(c[k]) for k, c in zip(lengths, window_counts(slices, ts, lengths))]
-
-
-def actual_gap_count(a: int, b: int, target: Constellation | int) -> int:
-    """The one target's ``actual_gap_counts``."""
-    return actual_gap_counts(a, b, [target])[0]
 
 
 @dataclass

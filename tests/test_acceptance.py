@@ -30,7 +30,7 @@ from gapsieve.dynsys import (
 from gapsieve.polignac import repetition_feasible_by_divisibility, singular_ratio
 from gapsieve.primal import primes_in, primes_upto
 from gapsieve.cli import main
-from gapsieve.survival import actual_gap_count, attrition, error_report, fold_confirmed_front
+from gapsieve.survival import actual_gap_counts, attrition, error_report, fold_confirmed_front
 
 
 def report(n: int, text: str) -> None:
@@ -182,11 +182,11 @@ def test_criterion_7_attrition(g7, g13):
 
 
 def test_criterion_8_survival_ground_truth(g13, tmp_path, monkeypatch, capsys):
-    assert actual_gap_count(11, 121, 2) == 8
+    assert actual_gap_counts(11, 121, [2]) == [8]
     ps = primes_in(11, 121)
     diffs = [b - a for a, b in zip(ps, ps[1:])]
     for g in (2, 4, 6, 8, 10, 12):
-        assert actual_gap_count(11, 121, g) == diffs.count(g)
+        assert actual_gap_counts(11, 121, [g]) == [diffs.count(g)]
 
     cycles = [g13]
     cyc = g13

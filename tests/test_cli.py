@@ -155,18 +155,20 @@ def test_cycle_file_is_read_memory_mapped(cycle13, cache_reads, capsys, command)
 @pytest.mark.parametrize(
     "argv, stage",
     [(["build", "--prime", "31", "--out", "g31.gapc"], 29),
-     (["naive-error", "--pmin", "29", "--pmax", "29", "--gaps", "2", "--csv", "-"], 29)],
+     (["naive-error", "--pmin", "29", "--pmax", "29", "--gaps", "2", "--csv", "-"], 2)],
     ids=["build", "naive-error"],
 )
 def test_memory_error_exits_2(monkeypatch, tmp_path, capsys, argv, stage):
     # naive-error builds past stage 23 like build does, with no opt-in flag;
-    # build --out holds the stage before the one it streams in memory
-    def out_of_memory(p):
-        raise MemoryError(f"Unable to allocate the stage-{p} cycle")
+    # build --out holds the stage before the one it streams in memory, and
+    # naive-error's chain fails at its first merge
+    def out_of_memory(*args):  # (p) or (cycle, q)
+        raise MemoryError(f"Unable to allocate the stage-{args[-1]} cycle")
 
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("GAPSIEVE_CACHE_DIR", raising=False)
     monkeypatch.setattr(cycle_mod, "build_primorial_cycle", out_of_memory)
+    monkeypatch.setattr(cycle_mod, "extend_cycle", out_of_memory)
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -719,27 +721,54 @@ def test_naive_error_cli(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("cached", [False, True], ids=["built", "cached"])
-def test_naive_error_holds_one_stage_at_a_time(tmp_path, monkeypatch, cached):
-    # each stage's cycle is let go before the next is built or read, so
-    # --pmax 29 does not hold 23# beside 29#
+def test_naive_error_with_no_stage_in_range_prints_its_header(tmp_path, monkeypatch, capsys,
+                                                              cached):
+    # no prime in [8, 10]: no stage is built or cached, and the table has no row
     if cached:
         monkeypatch.setenv("GAPSIEVE_CACHE_DIR", str(tmp_path / "cache"))
     else:
         monkeypatch.delenv("GAPSIEVE_CACHE_DIR", raising=False)
-    load, held = cli.load_or_build_cycle, []
+    assert main(["naive-error", "--pmin", "8", "--pmax", "10", "--gaps", "2", "--csv", "-"]) == 0
+    assert capsys.readouterr().out == (
+        "# naive estimate vs true prime gaps over [p_next, p_next^2]\n"
+        "p_k,p_next,target,estimate,actual,rel_error\n")
+    assert not any(tmp_path.iterdir())
+    assert list(cli.load_or_build_cycles([])) == []
 
-    def load_one(p):
-        assert all(ref() is None for ref in held), p
-        cycle = load(p)
-        held.append(weakref.ref(cycle))
-        return cycle
 
-    monkeypatch.setattr(cli, "load_or_build_cycle", load_one)
+@pytest.mark.parametrize("cached", [False, True], ids=["built", "cached"])
+def test_naive_error_holds_one_stage_at_a_time(tmp_path, monkeypatch, cached):
+    # each stage's cycle is let go before the next is read or built, or, with no
+    # cache dir, once the chain has merged the next from it, so --pmax 29 does
+    # not hold 23# beside 29#; the chain merges each stage prime once
+    if cached:
+        monkeypatch.setenv("GAPSIEVE_CACHE_DIR", str(tmp_path / "cache"))
+    else:
+        monkeypatch.delenv("GAPSIEVE_CACHE_DIR", raising=False)
+    load, extend, held, merged = cli.load_or_build_cycles, cycle_mod.extend_cycle, [], []
+
+    def load_each(stages):
+        for cycle in load(stages):
+            held.append(weakref.ref(cycle))
+            yield cycle
+            del cycle
+
+    def recorded_extend(cycle, q):
+        assert all(ref() is None or (not cached and ref() is cycle) for ref in held), q
+        merged.append(q)
+        return extend(cycle, q)
+
+    monkeypatch.setattr(cli, "load_or_build_cycles", load_each)
+    monkeypatch.setattr(cycle_mod, "extend_cycle", recorded_extend)
     out = tmp_path / "err.csv"
-    assert main(["naive-error", "--pmin", "5", "--pmax", "13", "--gaps", "2", "4",
+    assert main(["naive-error", "--pmin", "5", "--pmax", "19", "--gaps", "2", "4",
                  "--csv", str(out)]) == 0
-    assert len(held) == 4
-    assert [r[0] for r in csv_rows(out)[1:]] == ["5", "5", "7", "7", "11", "11", "13", "13"]
+    assert len(held) == 6
+    assert all(ref() is None for ref in held)
+    assert [r[0] for r in csv_rows(out)[1:]] == [p for p in ["5", "7", "11", "13", "17", "19"]
+                                                 for _ in range(2)]
+    if not cached:
+        assert merged == [2, 3, 5, 7, 11, 13, 17, 19]
 
 
 @pytest.mark.parametrize(

@@ -54,7 +54,7 @@ def test_step_examples():
 
 def test_entries_are_int_counts(g7):
     v = PopulationVector.from_census(census_for(g7, 6))
-    for w in (v, step(v, 11), v.padded(v.max_length + 2)):
+    for w in (v, step(v, 11), PopulationVector.from_census(v, v.max_length + 2)):
         assert all(type(e) is int for e in w.entries)
     assert v.ratios == tuple(F(e, v.ref) for e in v.entries)
     assert asymptotic_ratio(v) == F(sum(v.entries), v.ref)
@@ -125,7 +125,7 @@ def test_asymptotic_ratio_stable_under_stage_refinement(g5, g7, g11):
 
 def test_polynomial_approx(g5):
     # a gap with no driving terms keeps ratio 1: constant polynomial
-    v4 = PopulationVector.from_census(census_for(g5, 4)).padded(4)
+    v4 = PopulationVector.from_census(census_for(g5, 4), 4)
     coeffs = polynomial_approx(v4)
     assert coeffs == (F(1), F(0), F(0), F(0))
     assert evaluate_polynomial(coeffs, F(1, 2)) == F(1)
@@ -334,7 +334,7 @@ def test_crossover_6_vs_2_exact_root(g5):
     # the difference polynomial is 1 - (4/3) x: the gap 6 overtakes the
     # gap 2 exactly when the second eigenvalue product drops below 3/4
     va = PopulationVector.from_census(census_for(g5, 6))
-    vb = PopulationVector.from_census(census_for(g5, 2)).padded(2)
+    vb = PopulationVector.from_census(census_for(g5, 2), 2)
     root = crossover(va, vb)
     assert root is not None
     assert abs(root - 0.75) <= 1e-6

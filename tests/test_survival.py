@@ -18,23 +18,23 @@ from gapsieve.survival import (
     AttritionStep,
     _pass_changes,
     _strike_keys,
-    actual_gap_count,
+    actual_gap_counts,
     attrition,
     error_report,
     fold_confirmed_front,
-    naive_estimate,
+    naive_estimates,
 )
 
 
 def test_naive_estimate_examples(g5, g7, g13):
-    assert naive_estimate(g5, 2) == pytest.approx(4.2)
-    assert naive_estimate(g7, 2) == pytest.approx(110 / 210 * 15)
-    assert naive_estimate(g13, 6) == pytest.approx((289 - 17) / 30030 * 1690)
+    assert naive_estimates(g5, [2]) == [pytest.approx(4.2)]
+    assert naive_estimates(g7, [2]) == [pytest.approx(110 / 210 * 15)]
+    assert naive_estimates(g13, [6]) == [pytest.approx((289 - 17) / 30030 * 1690)]
 
 
 def test_naive_estimate_2_equals_4(g5, g7, g11, g13):
     for cyc in (g5, g7, g11, g13):
-        assert naive_estimate(cyc, 2) == naive_estimate(cyc, 4)
+        assert naive_estimates(cyc, [2]) == naive_estimates(cyc, [4])
 
 
 @pytest.mark.parametrize("side", ["table", "walk"])
@@ -45,7 +45,7 @@ def test_naive_estimate_reads_the_census_population(kernel, g13, side):
     with kernel(side):
         assert census_for(g13, long).population  # the window itself, at least
         for t in (2, 30, 150, Constellation((2, 4)), Constellation((6, 6, 6)), long):
-            assert naive_estimate(g13, t) == float(scale * census_for(g13, t).population), t
+            assert naive_estimates(g13, [t]) == [float(scale * census_for(g13, t).population)], t
 
 
 def test_naive_estimate_in_slices_shorter_than_the_target(g13, monkeypatch):
@@ -53,9 +53,9 @@ def test_naive_estimate_in_slices_shorter_than_the_target(g13, monkeypatch):
     # steps, so they go to the table with only the target's length of gaps
     # after their starts, which need not pass its span
     targets = (2, Constellation((6, 6, 6)), Constellation(tuple(g13.gaps[100:112].tolist())))
-    expected = [naive_estimate(g13, t) for t in targets]
+    expected = [naive_estimates(g13, [t]) for t in targets]
     monkeypatch.setattr(cycle_mod, "CHUNK_GAPS", 7)
-    assert [naive_estimate(g13, t) for t in targets] == expected
+    assert [naive_estimates(g13, [t]) for t in targets] == expected
 
 
 def test_a_cycle_is_checked_once(monkeypatch):
@@ -74,13 +74,13 @@ def test_a_cycle_is_checked_once(monkeypatch):
     cyc = build_primorial_cycle(11)
     census_for(cyc, 2)
     census_for(cyc, Constellation((2, 10, 2)))
-    naive_estimate(cyc, 4)
+    naive_estimates(cyc, [4])
     attrition(cyc)
     assert len(checked) == 1 and checked[0] is cyc
 
 
 def test_actual_gap_count_twins():
-    assert actual_gap_count(11, 121, 2) == 8
+    assert actual_gap_counts(11, 121, [2]) == [8]
 
 
 def test_actual_gap_count_matches_scan_oracle():
@@ -88,26 +88,26 @@ def test_actual_gap_count_matches_scan_oracle():
     window = [p for p in ps if 11 <= p <= 121]
     diffs = [b - a for a, b in zip(window, window[1:])]
     for g in (2, 4, 6, 8, 10, 12):
-        assert actual_gap_count(11, 121, g) == diffs.count(g)
+        assert actual_gap_counts(11, 121, [g]) == [diffs.count(g)]
 
 
 def test_actual_gap_count_constellation():
     ps = primes_in(11, 121)
     diffs = [b - a for a, b in zip(ps, ps[1:])]
     pairs = sum(1 for a, b in zip(diffs, diffs[1:]) if (a, b) == (2, 4))
-    assert actual_gap_count(11, 121, Constellation((2, 4))) == pairs
+    assert actual_gap_counts(11, 121, [Constellation((2, 4))]) == [pairs]
 
 
 def test_actual_gap_count_rejects_odd_gaps():
     # the gap 1 from 2 to 3 too: every target is a Constellation of even gaps
     for gap in (1, 3):
         with pytest.raises(ValueError, match="positive even"):
-            actual_gap_count(2, 10, gap)
+            actual_gap_counts(2, 10, [gap])
 
 
 def test_actual_gap_count_budget():
     with pytest.raises(CapacityError):
-        actual_gap_count(2, SIEVE_BUDGET + 1, 2)
+        actual_gap_counts(2, SIEVE_BUDGET + 1, [2])
 
 
 def test_actual_gap_count_checks_the_window_before_sieving(monkeypatch):
@@ -117,9 +117,9 @@ def test_actual_gap_count_checks_the_window_before_sieving(monkeypatch):
 
     monkeypatch.setattr(primal, "sieve_segment", no_sieve)
     with pytest.raises(ValueError, match=r"^inverted range \[10, 5\]$"):
-        actual_gap_count(10, 5, 2)
+        actual_gap_counts(10, 5, [2])
     with pytest.raises(CapacityError, match=f"^upper bound {SIEVE_BUDGET + 1} exceeds sieve budget"):
-        actual_gap_count(2, SIEVE_BUDGET + 1, 2)
+        actual_gap_counts(2, SIEVE_BUDGET + 1, [2])
 
 
 def brute_force_gap_count(a: int, b: int, pattern: list[int]) -> int:
@@ -146,7 +146,7 @@ def test_actual_gap_count_matches_brute_force(kernel, a, width, pattern):
     expected = brute_force_gap_count(a, b, pattern)
     for side in ("table", "walk"):
         with kernel(side):
-            assert actual_gap_count(a, b, Constellation(tuple(pattern))) == expected, side
+            assert actual_gap_counts(a, b, [Constellation(tuple(pattern))]) == [expected], side
 
 
 @settings(max_examples=100, deadline=None)
@@ -165,37 +165,37 @@ def test_actual_gap_count_across_small_blocks(kernel, a, width, pattern, block):
     for side in ("table", "walk"):
         with kernel(side), pytest.MonkeyPatch.context() as mp:
             mp.setattr(primal, "SIEVE_BLOCK", block)
-            assert actual_gap_count(a, b, Constellation(tuple(pattern))) == expected, side
+            assert actual_gap_counts(a, b, [Constellation(tuple(pattern))]) == [expected], side
 
 
 def test_actual_gap_count_reads_straight_through(kernel):
     # the primes 5, 7, 11, 13, 17, 19 have the gaps 2, 4, 2, 4, 2
-    count = actual_gap_count
+    counts = actual_gap_counts
     for side in ("table", "walk"):
         with kernel(side):
-            assert count(5, 19, 2) == 3
-            assert count(5, 19, Constellation((2, 4))) == 2
-            assert count(5, 19, Constellation((4, 2, 4, 2))) == 1
+            assert counts(5, 19, [2]) == [3]
+            assert counts(5, 19, [Constellation((2, 4))]) == [2]
+            assert counts(5, 19, [Constellation((4, 2, 4, 2))]) == [1]
             # no wrap: the last gap does not run on into the first
-            assert count(5, 19, Constellation((2, 2))) == 0
+            assert counts(5, 19, [Constellation((2, 2))]) == [0]
             # a target as long as the window starts once; a longer one reads
             # past 19 only into gaps that match nothing
-            assert count(5, 19, Constellation((2, 4, 2, 4, 2))) == 1
+            assert counts(5, 19, [Constellation((2, 4, 2, 4, 2))]) == [1]
             for extra in ((4,), (4, 2), (4, 2, 4, 2), (2,), (6,)):
-                assert count(5, 19, Constellation((2, 4, 2, 4, 2) + extra)) == 0
-                assert count(5, 19, Constellation(extra + (2, 4, 2, 4, 2))) == 0
-            assert count(5, 5, 2) == 0  # one prime, no gap
+                assert counts(5, 19, [Constellation((2, 4, 2, 4, 2) + extra)]) == [0]
+                assert counts(5, 19, [Constellation(extra + (2, 4, 2, 4, 2))]) == [0]
+            assert counts(5, 5, [2]) == [0]  # one prime, no gap
             # a span past u16 reads past 19 in int64 gaps
             for target in ((70_000,), (2, 4, 70_000), (70_000, 2)):
-                assert count(5, 19, Constellation(target)) == 0
+                assert counts(5, 19, [Constellation(target)]) == [0]
 
 
 def test_actual_gap_count_needs_the_last_prime_in_the_window(kernel):
     # 3, 5, 7 is the one 2, 2 run; it ends at 7, just inside [3, 7] and past 6
     for side in ("table", "walk"):
         with kernel(side):
-            assert actual_gap_count(3, 6, Constellation((2, 2))) == 0
-            assert actual_gap_count(3, 7, Constellation((2, 2))) == 1
+            assert actual_gap_counts(3, 6, [Constellation((2, 2))]) == [0]
+            assert actual_gap_counts(3, 7, [Constellation((2, 2))]) == [1]
 
 
 @pytest.mark.parametrize("block", [2, 5, 16])
@@ -208,14 +208,14 @@ def test_actual_gap_count_carries_blocks_with_no_start(kernel, block):
             mp.setattr(primal, "SIEVE_BLOCK", block)
             for a, b in ((2, 400), (2, 1500), (97, 1213), (1100, 1500)):
                 for target in targets:
-                    got = actual_gap_count(a, b, Constellation(tuple(target)))
-                    assert got == brute_force_gap_count(a, b, target), (side, a, b, target)
+                    got = actual_gap_counts(a, b, [Constellation(tuple(target))])
+                    assert got == [brute_force_gap_count(a, b, target)], (side, a, b, target)
 
 
 def test_actual_gap_count_to_1e8_in_bounded_memory(traced_peak):
     # twin primes below 10^8; a list of the 5.76M primes peaked at 311 MB
-    count, peak_mb = traced_peak(lambda: actual_gap_count(2, 10**8, 2))
-    assert count == 440_312
+    counts, peak_mb = traced_peak(lambda: actual_gap_counts(2, 10**8, [2]))
+    assert counts == [440_312]
     assert peak_mb < 16
 
 
@@ -245,7 +245,7 @@ def test_error_report_takes_one_pass_per_stage(g11, g13, monkeypatch):
     # each stage censuses all its targets in one cycle pass and counts them in
     # one pass over the primes; the rows are the one-target counts
     targets = [2, 4, Constellation((2, 4)), 30]
-    expected = [(p, t, naive_estimate(c, t), actual_gap_count(q, q * q, t))
+    expected = [(p, t, *naive_estimates(c, [t]), *actual_gap_counts(q, q * q, [t]))
                 for c, p, q in ((g11, 11, 13), (g13, 13, 17)) for t in targets]
     passes = []
     kernel = survival.window_counts
