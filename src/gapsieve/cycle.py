@@ -14,7 +14,10 @@ copy's piece drops its gaps and adds each run of dropped gaps into the next
 kept one, in u16; a shorter cycle is walked in blocks of whole copies.
 Copy k's pieces follow one another from its offset, Legendre's count of the
 kept gaps before it, in either a preallocated array or a cache file, so the
-walk holds O(CHUNK_GAPS) memory at every stage.
+walk holds O(CHUNK_GAPS) memory at every stage.  The sliced walk merges only
+copies 0..q//2, past the centre of the cycle: x -> qN - x makes every cycle
+a palindrome before its last gap, so each merged piece is written again,
+reversed, at its mirror image, where that lies beyond the merged copies.
 
 Every pass over a cycle (the merge walk, ``GapCycle.least``'s check, the
 census and verification) reads it through ``cyclic_slices``, so a
@@ -215,9 +218,11 @@ def _merged_chunks(cycle: GapCycle, q: int) -> Iterator[tuple[int, np.ndarray]]:
     The candidate ending gap i of copy k is kN + v_i, so it is dropped in
     the one copy k = -v_i/N mod q, read off the running value mod q.  A
     cycle longer than half a slice is read slice by slice, each slice once
-    for all q copies (``_sliced_chunks``).  A shorter one is walked a block
-    of whole copies at a time, in order, with one carry across blocks; the
-    end value qN+1 is 1 mod q, so nothing carries past the last copy.
+    for the first q//2 + 1 copies, whose pieces also fill the rest of the
+    cycle as their reflection (``_sliced_chunks``).  A shorter one is walked
+    a block of whole copies at a time, in order, with one carry across
+    blocks; the end value qN+1 is 1 mod q, so nothing carries past the last
+    copy.
     """
     gaps = cycle.gaps
     m = len(gaps)
@@ -259,14 +264,27 @@ def _sliced_chunks(
     One stable sort of the slice's copy indices lists each copy's drops in
     order.  Copy k starts at its Legendre offset (``_copy_offsets``) with
     the run of drops that ends copy k - 1 (``_end_run``), and keeps its own
-    place and carry from slice to slice.  Each copy must end at the next
-    one's offset with the run that starts the next copy.
+    place and carry from slice to slice.  Each walked copy must end at the
+    next one's offset with the run that starts the next copy.
+
+    Only copies 0..h-1, h = q // 2 + 1, are walked: they reach past the
+    centre of the cycle, which lies in copy q // 2 (for q = 2 they are every
+    copy).  The rest is their reflection.  x -> qN - x maps the generators
+    of qN onto themselves, so of the M result gaps, gap i equals gap
+    M - 2 - i, and the last, from qN - 1 to qN + 1, is the input's last gap
+    (neither end is dropped, and N > 1 for a cycle longer than half a
+    slice).  So the gaps of each walked piece below M - 1 - offsets[h], the
+    positions whose mirror image is not walked, are yielded again, reversed,
+    at that image.
     """
     gaps, n = cycle.gaps, cycle.modulus
+    h = q // 2 + 1  # the copies walked
     offsets = _copy_offsets(cycle.factors, q)
-    runs = [_end_run(gaps, k * n + 1, q) for k in range(q + 1)]  # runs[q] = 0: qN+1 is 1 mod q
-    place, carry = offsets[:q], runs[:q]
-    copies = np.arange(q + 1, dtype=np.uint8)
+    mirror = offsets[q] - 1  # position i mirrors to mirror - 1 - i
+    below = mirror - offsets[h]  # the positions whose mirror image is not walked
+    runs = [_end_run(gaps, k * n + 1, q) for k in range(h + 1)]
+    place, carry = offsets[:h], runs[:h]
+    copies = np.arange(h + 1, dtype=np.uint8)
     value = 1  # the value at the start of the pending slice
     for size, part in cyclic_slices(gaps, len(gaps)):
         end = value + np.cumsum(part, dtype=np.int64)
@@ -276,7 +294,7 @@ def _sliced_chunks(
         order = np.argsort(copy_of, kind="stable")
         bounds = np.searchsorted(copy_of[order], copies).tolist()
         kept = np.ones(size, dtype=bool)
-        for k in range(q):
+        for k in range(h):
             drop = order[bounds[k] : bounds[k + 1]]
             if len(drop) or carry[k]:
                 kept[drop] = False
@@ -286,12 +304,17 @@ def _sliced_chunks(
             else:
                 out = part
             yield place[k], out
+            if place[k] < below:
+                low = out[: below - place[k]]
+                yield mirror - place[k] - len(low), low[::-1]
             place[k] += len(out)
         del order, drop  # so the next slice's sort does not hold two
-    if place != offsets[1:] or carry != runs[1:]:
+    if place != offsets[1 : h + 1] or carry != runs[1:]:
         raise AssertionError(
-            f"copies ended at {place} carrying {carry}, expected {offsets[1:]} and {runs[1:]}"
+            f"copies ended at {place} carrying {carry}, expected {offsets[1 : h + 1]} and {runs[1:]}"
         )
+    if h < q:
+        yield mirror, gaps[-1:]
 
 
 def extend_cycle(cycle: GapCycle, q: int) -> GapCycle:
@@ -434,7 +457,11 @@ def verify_cycle(cycle: GapCycle, oracle: bool = False) -> CycleReport:
     """Structural validation: totient count, sum, symmetry, middle run.
 
     The primorial-only checks use the two generators nearest N/2 to anchor
-    the central run; they are exercised for stages 5 and up.
+    the central run; they are exercised for stages 5 and up.  A cycle built
+    by the sliced merge walk is a palindrome by construction, since that walk
+    writes its second half as the reflection of its first; the independent
+    checks of such a cycle are ``oracle`` (N up to 1e8) and the census
+    against the population model.
     """
     checks: dict[str, bool] = {}
     details: dict[str, str] = {}

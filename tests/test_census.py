@@ -299,7 +299,8 @@ def test_cycle_for_factors_matches_oracle(factors):
     st.sets(st.sampled_from(primes_upto(47)), max_size=5).map(prod).filter(lambda n: n <= 10**4),
     st.sampled_from(primes_upto(47)),
 )
-@example(15, 2)  # 2 and 4 drop in a row, and so do 14 and the copy-0 end value 16
+@example(n=15, q=2)  # 2 and 4 drop in a row, and so do 14 and the copy-0 end value 16;
+# for even q the centre lies in copy q/2, so a walk of q/2 copies misses it
 @example(3, 2)  # 2 and 4 drop in a row: the run ends at the copy-0 end
 @example(105, 2)  # 2, 4 and 8 drop in a row, and so do 104 and the copy-0 end value 106
 def test_extend_cycle_matches_oracle(n, q):
@@ -310,6 +311,50 @@ def test_extend_cycle_matches_oracle(n, q):
     assert extend_cycle(oracle_cycle(n), q) == expected
     with small_slices():
         assert extend_cycle(oracle_cycle(n), q) == expected
+
+
+@pytest.mark.parametrize(
+    "n, q",
+    [
+        (15, 2),  # q = 2 on odd N: the walk covers both copies
+        (105, 2),
+        (35, 3),
+        (5 * 7 * 11, 3),  # q below N's largest factor
+        (2 * 3 * 5 * 7 * 11, 13),  # a primorial step
+    ],
+)
+def test_merge_walk_pieces_tile_the_cycle(n, q):
+    # the walked copies and their reflection write each position once, and
+    # together they are the coprime scan of qN
+    expected = oracle_cycle(n * q).gaps
+    written = np.zeros(len(expected), dtype=np.int64)
+    got = np.zeros(len(expected), dtype=np.uint16)
+    with small_slices():
+        for offset, chunk in cycle_mod._merged_chunks(oracle_cycle(n), q):
+            written[offset : offset + len(chunk)] += 1
+            got[offset : offset + len(chunk)] = chunk
+    assert written.tolist() == [1] * len(expected)
+    assert got.tolist() == expected.tolist()
+
+
+@pytest.mark.parametrize("n, q", [(2 * 3 * 5 * 11 * 13, 7), (2 * 3 * 5 * 7 * 11, 13)])
+def test_sliced_walk_merges_half_the_copies(n, q):
+    # every copy drops gaps in every 256-gap slice, so the walk merges runs
+    # once per walked copy per slice: q // 2 + 1 copies, the rest reflected
+    calls = []
+    real_absorb = cycle_mod._absorb_drops
+
+    def counted(*args):
+        calls.append(args)
+        return real_absorb(*args)
+
+    cyc = oracle_cycle(n)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cycle_mod, "CHUNK_GAPS", 256)
+        mp.setattr(cycle_mod, "_absorb_drops", counted)
+        assert extend_cycle(cyc, q) == oracle_cycle(n * q)
+    slices = -(-cyc.gap_count // 256)
+    assert len(calls) == slices * (q // 2 + 1)
 
 
 def brute_force_population(gaps: list[int], s: Constellation) -> int:
